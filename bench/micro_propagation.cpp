@@ -1,25 +1,24 @@
 // Single-circuit propagation microbenchmark across the Table IV designs,
-// nn-executor thread counts, DEEPSEQ_NN_FUSE and DEEPSEQ_NN_SIMD settings:
-// the zero-barrier execution core this bench exists to track. For every
-// design the bench times DeepSeqModel::embed under DEEPSEQ_NN_THREADS-
-// equivalent executors (1 = the sequential path) across fuse x simd, checks
-// every combination bit-identical to sequential scalar, and — for the
-// largest design — verifies gradient bit-identity in grad mode, records
-// per-level (per planner flush) timing, and reports the structural chain
-// statistics: barriers (cut waves), global syncs the dependency-counted
-// scheduler actually pays, released chains, slab row traffic, chains, the
-// chain-length histogram, and the fused/unfused barrier ratio. A
+// nn-executor thread counts and DEEPSEQ_NN_SIMD settings: the
+// dependency-counted chain execution core this bench exists to track. For
+// every design the bench times DeepSeqModel::embed under
+// DEEPSEQ_NN_THREADS-equivalent executors (1 = the sequential path) with
+// simd off and on, checks every combination bit-identical to sequential
+// scalar, and — for the largest design — verifies gradient bit-identity in
+// grad mode, records per-level (per planner flush) timing, and reports the
+// structural chain statistics: global syncs the scheduler pays, released
+// chains, slab row traffic, chains and the chain-length histogram. A
 // record-overhead micro reports ns per recorded op.
 //
 // Emits a table and micro_propagation.json (bench_util::JsonWriter) with
-// `threads`, `fused` and `simd` dimensions so the perf trajectory of the
+// `threads` and `simd` dimensions so the perf trajectory of the
 // record/plan/execute stack is machine-readable across commits (the repo
 // commits a snapshot as BENCH_micro_propagation.json at the root). The
-// structural fields (barriers, global_syncs, chains, chain_len_histogram)
-// depend only on the plans and the selected scheduler, never on host core
-// count — a 1-core CI box verifies the barrier win deterministically; only
-// the speedup column needs a multi-core host (`hardware_concurrency` is
-// part of the JSON so ~1.0x is self-explaining).
+// structural fields (global_syncs, chains, chain_len_histogram) depend
+// only on the plans, never on host core count — a 1-core CI box verifies
+// them deterministically; only the speedup column needs a multi-core host
+// (`hardware_concurrency` is part of the JSON so ~1.0x is
+// self-explaining).
 //
 // Knobs: DEEPSEQ_PROP_THREADS (max thread sweep, default 4),
 // DEEPSEQ_PROP_REPS (timing repetitions, default 3), DEEPSEQ_FULL=1 for
@@ -61,7 +60,6 @@ bool bit_identical(const nn::Tensor& a, const nn::Tensor& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
-void set_fuse(bool on) { ::setenv("DEEPSEQ_NN_FUSE", on ? "1" : "0", 1); }
 void set_simd(bool on) { ::setenv("DEEPSEQ_NN_SIMD", on ? "1" : "0", 1); }
 
 double time_embed(const DeepSeqModel& model, const Design& d,
@@ -91,14 +89,12 @@ double time_embed(const DeepSeqModel& model, const Design& d,
 void json_exec_stats(JsonWriter& json, const nn::ExecStats& stats) {
   json.begin_object();
   json.field("flushes", stats.flushes);
-  json.field("barriers", stats.barriers);
   json.field("global_syncs", stats.global_syncs);
   json.field("released_chains", stats.released_chains);
-  json.field("barriered_chains", stats.barriered_chains);
   json.field("chains", stats.chains);
   json.field("steps", stats.steps);
   json.field("fused_ops", stats.fused_ops);
-  json.field("parallel_cuts", stats.parallel_cuts);
+  json.field("parallel_flushes", stats.parallel_flushes);
   json.field("slab_gather_rows", stats.slab_gather_rows);
   json.field("slab_scatter_rows", stats.slab_scatter_rows);
   json.field("simd_lanes", stats.simd_lanes);
@@ -118,7 +114,6 @@ void json_exec_stats(JsonWriter& json, const nn::ExecStats& stats) {
 /// The timer covers only the recording loop; the flush happens on scope
 /// exit, outside it. Best of several reps = warm free-list state.
 double measure_record_ns_per_op() {
-  set_fuse(true);
   nn::Executor sequential;
   nn::ExecutorScope scope(sequential);
   nn::Graph g(/*grad_enabled=*/false);
@@ -145,7 +140,7 @@ double measure_record_ns_per_op() {
 int main() {
   const BenchConfig cfg = BenchConfig::from_env();
   print_banner("PROPAGATION",
-               "single-circuit embed vs nn-executor threads and chain fusion "
+               "single-circuit embed vs nn-executor threads and simd "
                "(record/plan/execute)",
                cfg);
 
@@ -185,10 +180,10 @@ int main() {
   json.field("largest_design", designs[largest].name);
   json.begin_array("rows");
 
-  std::printf("%-10s | %6s %6s | %7s %5s %4s | %10s | %8s | %5s\n", "design",
-              "nodes", "levels", "threads", "fused", "simd", "embed ms",
-              "speedup", "biteq");
-  std::printf("%.*s\n", 82, std::string(82, '-').c_str());
+  std::printf("%-10s | %6s %6s | %7s %4s | %10s | %8s | %5s\n", "design",
+              "nodes", "levels", "threads", "simd", "embed ms", "speedup",
+              "biteq");
+  std::printf("%.*s\n", 76, std::string(76, '-').c_str());
 
   double largest_best_speedup = 0.0;
   for (std::size_t i = 0; i < designs.size(); ++i) {
@@ -196,54 +191,48 @@ int main() {
     nn::Tensor reference;
     double seq_ms = 0.0;
     for (const int threads : sweep) {
-      for (const bool fused : {true, false}) {
-        for (const bool simd : {false, true}) {
-          set_fuse(fused);
-          set_simd(simd);
-          nn::Executor exec(&pool, threads);
-          nn::Tensor embedding;
-          nn::ExecStats stats;
-          const double ms = time_embed(model, d, exec, reps, &embedding, &stats);
-          // Reference: sequential, fused, scalar — the schedule every other
-          // combination (simd included) must reproduce bit-for-bit.
-          const bool is_ref = threads == 1 && fused && !simd;
-          const bool identical =
-              is_ref ? true : bit_identical(reference, embedding);
-          if (is_ref) {
-            reference = std::move(embedding);
-            seq_ms = ms;
-          }
-          const double speedup = ms > 0.0 ? seq_ms / ms : 0.0;
-          if (i == largest && threads > 1 && fused && simd)
-            largest_best_speedup = std::max(largest_best_speedup, speedup);
-          std::printf(
-              "%-10s | %6zu %6d | %7d %5s %4s | %10.2f | %7.2fx | %5s\n",
-              d.name.c_str(), d.aig.num_nodes(), d.levels, threads,
-              fused ? "yes" : "no", simd ? "yes" : "no", ms, speedup,
-              identical ? "yes" : "NO");
-          json.begin_object();
-          json.field("design", d.name);
-          json.field("nodes", static_cast<std::uint64_t>(d.aig.num_nodes()));
-          json.field("levels", d.levels);
-          json.field("threads", threads);
-          json.field("fused", fused);
-          json.field("simd", simd);
-          json.field("embed_ms", ms);
-          json.field("ns_per_flush",
-                     stats.flushes > 0 ? ms * 1e6 / stats.flushes : 0.0);
-          json.field("speedup_vs_1t", speedup);
-          json.field("bit_identical", identical);
-          json.field("barriers", stats.barriers);
-          json.field("global_syncs", stats.global_syncs);
-          json.field("released_chains", stats.released_chains);
-          json.field("chains", stats.chains);
-          json.field("flushes", stats.flushes);
-          json.field("slab_gather_rows", stats.slab_gather_rows);
-          json.field("slab_scatter_rows", stats.slab_scatter_rows);
-          json.field("simd_lanes", stats.simd_lanes);
-          json.end_object();
-          std::fflush(stdout);
+      for (const bool simd : {false, true}) {
+        set_simd(simd);
+        nn::Executor exec(&pool, threads);
+        nn::Tensor embedding;
+        nn::ExecStats stats;
+        const double ms = time_embed(model, d, exec, reps, &embedding, &stats);
+        // Reference: sequential scalar — the schedule every other
+        // combination (simd included) must reproduce bit-for-bit.
+        const bool is_ref = threads == 1 && !simd;
+        const bool identical =
+            is_ref ? true : bit_identical(reference, embedding);
+        if (is_ref) {
+          reference = std::move(embedding);
+          seq_ms = ms;
         }
+        const double speedup = ms > 0.0 ? seq_ms / ms : 0.0;
+        if (i == largest && threads > 1 && simd)
+          largest_best_speedup = std::max(largest_best_speedup, speedup);
+        std::printf("%-10s | %6zu %6d | %7d %4s | %10.2f | %7.2fx | %5s\n",
+                    d.name.c_str(), d.aig.num_nodes(), d.levels, threads,
+                    simd ? "yes" : "no", ms, speedup,
+                    identical ? "yes" : "NO");
+        json.begin_object();
+        json.field("design", d.name);
+        json.field("nodes", static_cast<std::uint64_t>(d.aig.num_nodes()));
+        json.field("levels", d.levels);
+        json.field("threads", threads);
+        json.field("simd", simd);
+        json.field("embed_ms", ms);
+        json.field("ns_per_flush",
+                   stats.flushes > 0 ? ms * 1e6 / stats.flushes : 0.0);
+        json.field("speedup_vs_1t", speedup);
+        json.field("bit_identical", identical);
+        json.field("global_syncs", stats.global_syncs);
+        json.field("released_chains", stats.released_chains);
+        json.field("chains", stats.chains);
+        json.field("flushes", stats.flushes);
+        json.field("slab_gather_rows", stats.slab_gather_rows);
+        json.field("slab_scatter_rows", stats.slab_scatter_rows);
+        json.field("simd_lanes", stats.simd_lanes);
+        json.end_object();
+        std::fflush(stdout);
       }
     }
   }
@@ -252,47 +241,22 @@ int main() {
   json.end_array();  // rows
 
   // Per-level (per planner flush) structure + timing of the largest design:
-  // sequential vs widest executor, fused vs unfused — the machine-readable
-  // shape of where time (and synchronization) goes. The fused/unfused
-  // barrier ratio is the structural win chain fusion exists for.
+  // sequential vs widest executor — the machine-readable shape of where
+  // time (and synchronization) goes.
   {
     const Design& d = designs[largest];
-    nn::ExecStats fused_stats, unfused_stats;
-    {
-      set_fuse(true);
-      nn::Executor exec(&pool, 1);
-      nn::ExecStats stats;
+    nn::ExecStats stats;
+    for (const int threads : {1, sweep.back()}) {
+      nn::Executor exec(&pool, threads);
       time_embed(model, d, exec, 1, nullptr, &stats);
-      json.key("levels_1t");
+      json.key("levels_" + std::to_string(threads) + "t");
       json_exec_stats(json, stats);
     }
-    {
-      set_fuse(true);
-      nn::Executor exec(&pool, sweep.back());
-      time_embed(model, d, exec, 1, nullptr, &fused_stats);
-      json.key("levels_" + std::to_string(sweep.back()) + "t");
-      json_exec_stats(json, fused_stats);
-    }
-    {
-      set_fuse(false);
-      nn::Executor exec(&pool, sweep.back());
-      time_embed(model, d, exec, 1, nullptr, &unfused_stats);
-      json.key("levels_" + std::to_string(sweep.back()) + "t_unfused");
-      json_exec_stats(json, unfused_stats);
-    }
-    set_fuse(true);
-    const double reduction =
-        fused_stats.barriers > 0
-            ? static_cast<double>(unfused_stats.barriers) /
-                  static_cast<double>(fused_stats.barriers)
-            : 0.0;
     std::printf(
-        "%s chain structure at %d threads: %d flushes, %d barriers "
-        "(unfused %d, %.1fx fewer), %d chains, %d steps, %d ops fused\n",
-        d.name.c_str(), sweep.back(), fused_stats.flushes,
-        fused_stats.barriers, unfused_stats.barriers, reduction,
-        fused_stats.chains, fused_stats.steps, fused_stats.fused_ops);
-    json.field("barrier_reduction_at_max_threads", reduction);
+        "%s chain structure at %d threads: %d flushes, %d global syncs, "
+        "%d chains, %d steps, %d ops fused\n",
+        d.name.c_str(), sweep.back(), stats.flushes, stats.global_syncs,
+        stats.chains, stats.steps, stats.fused_ops);
   }
 
   // Record-layer overhead: arena-allocated, inline-operand op recording.

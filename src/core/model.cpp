@@ -238,7 +238,7 @@ Var DeepSeqModel::propagate(Graph& g, const CircuitGraph& graph,
   const auto& fwd = custom ? graph.comb_forward : graph.baseline_forward;
   const auto& rev = custom ? graph.comb_reverse : graph.baseline_reverse;
 
-  if (!g.grad_enabled() && nn::nn_slab_from_env()) {
+  if (!g.grad_enabled()) {
     // Slab path (inference): every node's state is a row of one slab
     // tensor, updated in place through the consume-exactly-once version
     // chain. Gathers read the slab directly (no per-level state matrices to

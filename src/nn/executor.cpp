@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/env.hpp"
+#include "common/error.hpp"
 #include "nn/kernels.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -579,7 +580,7 @@ void ensure_input_grads(const Op& op) {
 
 /// Single chunk dispatch, forward or backward. Backward chunks are gated on
 /// the op's output having received a gradient — deterministic at this
-/// point, because every downstream op ran in an earlier wave.
+/// point, because every downstream op ran in an earlier cut.
 void run_chunk(const Chunk& chunk) {
   Op& op = *chunk.op;
   switch (chunk.role) {
@@ -650,70 +651,6 @@ class Backoff {
 /// Parks a helper may accumulate before handing its core back to the pool.
 constexpr int kHelperParkBudget = 16;
 
-/// Shared state of one plan execution. The caller and up to threads-1 pool
-/// helpers all drive the same cursor: chain tasks of the current cut are
-/// claimed from an atomic index — each claimed chain runs its steps
-/// sequentially end to end on the claiming thread — and a spin barrier
-/// separates cuts (release on the last task's completion count, acquire by
-/// every spinner — so cut N+1 reads cut N's tensor writes safely). Helpers
-/// stay hot across the whole plan; with chain fusion the barrier count per
-/// flush is an order of magnitude below the old per-wave schedule on deep
-/// narrow graphs, so the spinning they do between claims actually buys
-/// concurrency instead of burning it.
-///
-/// Heap-shared: a helper dequeued after the plan completed finds every claim
-/// exhausted and every barrier satisfied, zips through, and drops its
-/// reference — it never blocks, and it never touches an Op (a task can
-/// only be claimed before the caller's final barrier), so the graph may
-/// recycle executed ops as soon as the caller returns.
-struct ChainDriver {
-  Plan plan;
-  std::unique_ptr<std::atomic<int>[]> next;
-  std::unique_ptr<std::atomic<int>[]> done;
-
-  explicit ChainDriver(Plan p)
-      : plan(std::move(p)),
-        next(new std::atomic<int>[plan.cuts().size()]),
-        done(new std::atomic<int>[plan.cuts().size()]) {
-    for (std::size_t i = 0; i < plan.cuts().size(); ++i) {
-      next[i].store(0, std::memory_order_relaxed);
-      done[i].store(0, std::memory_order_relaxed);
-    }
-  }
-
-  void drive(bool caller) {
-    const std::vector<CutWave>& cuts = plan.cuts();
-    const std::vector<ChainTask>& tasks = plan.tasks();
-    const Chunk* steps = plan.steps();
-    int idle_cuts = 0;
-    for (std::size_t w = 0; w < cuts.size(); ++w) {
-      const ChainTask* first = tasks.data() + cuts[w].first_task;
-      const int n = static_cast<int>(cuts[w].task_count);
-      bool claimed = false;
-      for (;;) {
-        const int i = next[w].fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        claimed = true;
-        const ChainTask& t = first[i];
-        for (std::uint32_t s = 0; s < t.count; ++s)
-          run_chunk(steps[t.first + s]);
-        done[w].fetch_add(1, std::memory_order_acq_rel);
-      }
-      if (!caller) {
-        // A helper that keeps claiming nothing returns its core to the
-        // pool; the caller finishes regardless. The budget is sized so a
-        // helper survives short runs of single-task cuts between a plan's
-        // fat cuts, but a long single-task tail (a deep fused backward
-        // run) releases it quickly instead of spin/yielding through it.
-        idle_cuts = claimed ? 0 : idle_cuts + 1;
-        if (idle_cuts >= 32) return;
-      }
-      Backoff backoff;
-      while (done[w].load(std::memory_order_acquire) < n) backoff.pause();
-    }
-  }
-};
-
 /// Shared state of one dependency-counted plan execution. One claim queue
 /// (`ready`) covers the whole flush: tasks are published into it the moment
 /// their producer countdown hits zero — root tasks up front, the rest
@@ -724,8 +661,8 @@ struct ChainDriver {
 ///
 /// Correctness: a task is published only after every producer task
 /// finished (countdown release/acquire chain), so claiming in publication
-/// order respects the chain DAG; concurrent tasks write disjoint outputs
-/// exactly as under the barrier scheduler, so results stay bit-identical.
+/// order respects the chain DAG; concurrent tasks write disjoint outputs,
+/// so results stay bit-identical to the inline walk.
 ///
 /// Liveness: slots are claimed in order, so a thread waiting on slot h has
 /// slots < h all claimed; published tasks are always claimed-and-run, every
@@ -736,9 +673,9 @@ struct ChainDriver {
 /// claimed slot is always executed, so `completed` reaching the task count
 /// — the caller's exit condition — implies every task ran.
 ///
-/// Heap-shared like ChainDriver: a helper dequeued late finds everything
-/// claimed, returns, and drops its reference; the caller returns only after
-/// every task completed, so ops may be recycled immediately after.
+/// Heap-shared: a helper dequeued late finds everything claimed, returns,
+/// and drops its reference; the caller returns only after every task
+/// completed, so ops may be recycled immediately after.
 struct DepDriver {
   Plan plan;
   std::unique_ptr<std::atomic<std::uint32_t>[]> pending;  // per DepNode
@@ -828,8 +765,6 @@ int nn_threads_from_env(int fallback) {
   return t >= 1 ? t : fallback;
 }
 
-bool nn_depsched_from_env() { return env_int("DEEPSEQ_NN_DEPSCHED", 1) != 0; }
-
 Executor::Executor() = default;
 
 Executor::Executor(runtime::ThreadPool* pool, int threads)
@@ -861,6 +796,12 @@ Executor& Executor::current() {
 
 void Executor::run_plan(Plan plan) {
   if (plan.empty()) return;
+  // Without a dependency layer DepDriver would publish nothing and spin
+  // forever; reject on every path so the inline walk can't mask it.
+  if (!plan.dep_linked())
+    throw Error(
+        "nn::Executor: plan has no dependency layer (build it with "
+        "Plan::build or call link_cuts_sequential before running)");
   const std::uint32_t max_tasks = plan.max_cut_tasks();
   if (threads_ <= 1 || pool_ == nullptr || max_tasks <= 1 ||
       plan.total_work() < kMinParallelFlushWork) {
@@ -874,19 +815,12 @@ void Executor::run_plan(Plan plan) {
   }
   const int helpers =
       std::min(threads_ - 1, static_cast<int>(max_tasks) - 1);
-  if (nn_depsched_from_env() && plan.dep_linked()) {
-    auto driver = std::make_shared<DepDriver>(std::move(plan));
-    for (int h = 0; h < helpers; ++h)
-      pool_->submit([driver] { driver->drive(false); });
-    // The caller participates and returns only after every task completed —
-    // the flush's single global sync.
-    driver->drive(true);
-    return;
-  }
-  auto driver = std::make_shared<ChainDriver>(std::move(plan));
+  if (g_trace != nullptr) g_trace->parallel_flushes += 1;
+  auto driver = std::make_shared<DepDriver>(std::move(plan));
   for (int h = 0; h < helpers; ++h)
     pool_->submit([driver] { driver->drive(false); });
-  // The caller participates and returns only after the last cut's barrier.
+  // The caller participates and returns only after every task completed —
+  // the flush's single global sync.
   driver->drive(true);
 }
 
@@ -898,7 +832,6 @@ void Executor::run(Plan plan) {
   }
   const auto start = std::chrono::steady_clock::now();
   g_trace->flushes += 1;
-  g_trace->barriers += static_cast<int>(plan.cuts().size());
   g_trace->chains += static_cast<int>(plan.stats().chains);
   g_trace->fused_ops += static_cast<int>(plan.stats().fused_ops);
   g_trace->steps += static_cast<int>(plan.step_count());
@@ -906,25 +839,14 @@ void Executor::run(Plan plan) {
   g_trace->slab_scatter_rows +=
       static_cast<int>(plan.stats().slab_scatter_rows);
   g_trace->simd_lanes = kernels::lanes();
-  // Scheduler-structural counters: what the selected scheduler pays for
-  // this plan, regardless of core count (the inline path executes the same
-  // schedule degenerately).
-  if (nn_depsched_from_env() && plan.dep_linked()) {
-    g_trace->global_syncs += static_cast<int>(plan.global_syncs());
-    g_trace->released_chains += static_cast<int>(plan.released_task_count());
-  } else {
-    g_trace->global_syncs += static_cast<int>(plan.barrier_count());
-    if (!plan.cuts().empty())
-      g_trace->barriered_chains += static_cast<int>(
-          plan.tasks().size() - plan.cuts().front().task_count);
-  }
+  // Scheduler-structural counters: what the dependency-counted schedule
+  // pays for this plan, regardless of core count (the inline path executes
+  // the same schedule degenerately).
+  g_trace->global_syncs += static_cast<int>(plan.global_syncs());
+  g_trace->released_chains += static_cast<int>(plan.released_task_count());
   for (int b = 0; b < kChainHistBuckets; ++b)
     g_trace->chain_len_hist[b] +=
         static_cast<int>(plan.stats().chain_len_hist[b]);
-  if (threads_ > 1 && pool_ != nullptr &&
-      plan.total_work() >= kMinParallelFlushWork)
-    for (const CutWave& c : plan.cuts())
-      if (c.task_count > 1) g_trace->parallel_cuts += 1;
   run_plan(std::move(plan));
   g_trace->flush_ms.push_back(std::chrono::duration<double, std::milli>(
                                   std::chrono::steady_clock::now() - start)
@@ -933,12 +855,11 @@ void Executor::run(Plan plan) {
 
 void Executor::run_backward(const std::vector<Op*>& ops) {
   kernels::refresh_from_env();
-  const bool fuse = nn_fuse_from_env();
   Plan plan;
   plan.reserve(ops.size(), ops.size(), ops.size());
   std::vector<int> part_chunks;
   // Open fused run of sequential per-op backward steps: consecutive
-  // non-chunkable ops extend it instead of paying a barrier each.
+  // non-chunkable ops extend it instead of each opening a cut of its own.
   bool run_open = false;
   for (Op* op : ops) {
     const std::vector<BwPart> parts = backward_parts(*op);
@@ -958,11 +879,11 @@ void Executor::run_backward(const std::vector<Op*>& ops) {
       }
     if (!chunkable || split_chunks <= 1) {
       // Single-chunk op (or aliasing): prep + every part in one sequential
-      // step. Fused mode chains these steps into one task — the op order
-      // (and thus every scatter's accumulation order) is unchanged, the
-      // run just stops re-synchronizing between ops that were never going
-      // to run concurrently anyway.
-      if (fuse && run_open) {
+      // step, chained into one task with the preceding non-chunkable ops.
+      // The op order (and thus every scatter's accumulation order) is
+      // unchanged; the run just stops re-synchronizing between ops that
+      // were never going to run concurrently anyway.
+      if (run_open) {
         plan.extend_task(Chunk{op, 0, 0, kRoleAll}, total);
       } else {
         plan.add_cut();
@@ -995,7 +916,7 @@ void Executor::run_backward(const std::vector<Op*>& ops) {
   }
   // Backward cuts must stay ordered (scatter accumulation order); the
   // sequential cut chain gives the dep scheduler that ordering with one
-  // end-of-run sync instead of a barrier per cut.
+  // end-of-run sync.
   plan.link_cuts_sequential();
   run_plan(std::move(plan));
 }

@@ -19,34 +19,25 @@ namespace deepseq::nn {
 /// path; values < 1 fall back too.
 int nn_threads_from_env(int fallback);
 
-/// DEEPSEQ_NN_DEPSCHED knob (env_int): 0 falls back to the per-cut barrier
-/// scheduler (ChainDriver, the PR 5 behavior) for A/B benching and parity
-/// testing; any other value (and unset) selects dependency-counted
-/// scheduling with a single end-of-flush sync. Read per flush.
-bool nn_depsched_from_env();
-
 /// Per-flush execution counters, collected when an ExecTraceScope is active
 /// on the calling thread (benches and the structural CI gate use this).
-/// `barriers`/`chains`/`chain_len_hist`/`global_syncs`/`released_chains`/
-/// `barriered_chains` are structural properties of the built plans and the
-/// selected scheduler — independent of how many cores actually ran them.
+/// `chains`/`chain_len_hist`/`global_syncs`/`released_chains` are
+/// structural properties of the built plans — independent of how many
+/// cores actually ran them.
 struct ExecStats {
   int flushes = 0;
-  int barriers = 0;       // cut waves planned (what the barrier scheduler pays)
-  int chains = 0;         // chain clusters planned (fused chains + singletons)
-  int steps = 0;          // kernel steps executed
-  int fused_ops = 0;      // ops that rode inside a multi-op chain
-  int parallel_cuts = 0;  // cuts dispatched to the pool with > 1 task
-  /// Global synchronization points the active scheduler actually pays: one
-  /// end-of-flush completion wait per flush under dependency-counted
-  /// scheduling, one per cut under DEEPSEQ_NN_DEPSCHED=0.
+  int chains = 0;     // chain clusters planned (fused chains + singletons)
+  int steps = 0;      // kernel steps executed
+  int fused_ops = 0;  // ops that rode inside a multi-op chain
+  /// Plans (forward flushes and backward runs) that enlisted pool helpers
+  /// instead of running inline.
+  int parallel_flushes = 0;
+  /// Global synchronization points paid: one end-of-flush completion wait
+  /// per flush.
   int global_syncs = 0;
   /// Chain tasks released straight to the claim queue by a finishing
-  /// producer (dependency-counted scheduling only).
+  /// producer (the rest are runnable at flush start).
   int released_chains = 0;
-  /// Chain tasks that waited behind a cut barrier instead (barrier
-  /// scheduling only: every task beyond the first cut).
-  int barriered_chains = 0;
   int slab_gather_rows = 0;   // gather rows served from a state slab
   int slab_scatter_rows = 0;  // rows scattered into a state slab
   int simd_lanes = 1;         // kernel lane width of the last flush (8 = AVX2)
@@ -54,15 +45,14 @@ struct ExecStats {
   std::vector<double> flush_ms;  // one entry per Graph::flush, in call order
 };
 
-/// The execute layer: runs a Plan's cut waves of chain tasks — and taped
-/// ops' backward kernels — over a shared runtime::ThreadPool. The calling
-/// thread always participates in a cut (it drains the same task queue the
-/// pool helpers do), so executors may safely share the pool that is running
-/// their caller: a saturated pool degrades to inline execution instead of
-/// deadlocking.
+/// The execute layer: runs a Plan's chain tasks — and taped ops' backward
+/// kernels — over a shared runtime::ThreadPool. The calling thread always
+/// participates (it drains the same claim queue the pool helpers do), so
+/// executors may safely share the pool that is running their caller: a
+/// saturated pool degrades to inline execution instead of deadlocking.
 ///
 /// Results are bit-identical to sequential execution at any thread count
-/// and any DEEPSEQ_NN_FUSE / DEEPSEQ_NN_DEPSCHED / DEEPSEQ_NN_SIMD setting:
+/// and either DEEPSEQ_NN_SIMD setting:
 /// every output element is produced by exactly one step with the same
 /// per-element operation order as the single-chunk scalar kernel (the SIMD
 /// layer guarantees this per kernel), concurrent chain tasks write disjoint
@@ -86,16 +76,18 @@ class Executor {
   int threads() const { return threads_; }
   runtime::ThreadPool* pool() const { return pool_; }
 
-  /// Execute a flushed batch: cuts in order, chain tasks of a cut
-  /// potentially in parallel, each task's steps sequentially on one thread.
-  /// Fills taped ops' backward byproducts (argmax, saved). Takes the plan
-  /// by value: pool helpers share the schedule and may outlive the call.
+  /// Execute a flushed batch: each chain task runs once its producer tasks
+  /// finished, independent tasks potentially in parallel, each task's steps
+  /// sequentially on one thread. Fills taped ops' backward byproducts
+  /// (argmax, saved). Takes the plan by value: pool helpers share the
+  /// schedule and may outlive the call. Throws deepseq::Error for a
+  /// non-empty plan without a dependency layer (see Plan::dep_linked).
   void run(Plan plan);
 
   /// Run the backward kernels of `ops` (already in reverse topological
   /// order). Chunkable ops (disjoint scatter targets) keep their own
   /// prep + parts cuts; consecutive non-chunkable ops fuse into one
-  /// sequential chain task — one barrier per run instead of one per op.
+  /// sequential chain task.
   /// Ops whose output never received a gradient are skipped, exactly as in
   /// sequential backward.
   void run_backward(const std::vector<Op*>& ops);
@@ -114,10 +106,10 @@ class Executor {
 
   /// Dispatch one plan: inline when small/sequential; otherwise the
   /// dependency-counted DepDriver (tasks released to one claim queue as
-  /// their producers finish, a single end-of-flush completion wait) or,
-  /// under DEEPSEQ_NN_DEPSCHED=0, the per-cut barrier ChainDriver. The
+  /// their producers finish, a single end-of-flush completion wait). The
   /// caller participates; up to threads-1 pool helpers are enlisted once
-  /// for the whole plan and stay hot across releases.
+  /// for the whole plan and stay hot across releases. Rejects unlinked
+  /// plans on both paths.
   void run_plan(Plan plan);
 
   runtime::ThreadPool* pool_ = nullptr;

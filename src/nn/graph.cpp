@@ -4,7 +4,6 @@
 #include <atomic>
 #include <unordered_set>
 
-#include "common/env.hpp"
 #include "common/error.hpp"
 #include "nn/executor.hpp"
 #include "nn/op.hpp"
@@ -38,8 +37,6 @@ void check_same_shape(const Var& a, const Var& b, const char* op) {
 
 }  // namespace
 
-bool nn_slab_from_env() { return env_int("DEEPSEQ_NN_SLAB", 1) != 0; }
-
 Var make_param(Tensor value) { return new_node(std::move(value), true); }
 Var make_constant(Tensor value) { return new_node(std::move(value), false); }
 
@@ -70,7 +67,7 @@ Var Graph::record(Tensor out, Op* op) {
 void Graph::flush() {
   if (pending_.empty()) return;
   Executor& exec = Executor::current();
-  exec.run(Plan::build(pending_, exec.threads(), nn_fuse_from_env()));
+  exec.run(Plan::build(pending_, exec.threads()));
   // Recycle executed ops: release their references immediately (dead
   // intermediates free as early as they did on the eager tape) but keep the
   // member vectors' capacity warm for the next record. Taped ops (those

@@ -51,12 +51,6 @@ struct VarNode {
 
 using Var = std::shared_ptr<VarNode>;
 
-/// DEEPSEQ_NN_SLAB knob (strict env_int): 0 disables slab-based state
-/// recording (DeepSeqModel::propagate falls back to per-level state
-/// matrices); any other value (and unset) enables it for no-grad graphs.
-/// Read per propagate call, so a process can A/B it between runs.
-bool nn_slab_from_env();
-
 /// Create a trainable parameter (lives outside any Graph tape; gradients
 /// accumulate across backward calls until an optimizer zeroes them).
 Var make_param(Tensor value);
@@ -72,12 +66,11 @@ struct RowRef {
 
 /// Reverse-mode autograd over a record/plan/execute pipeline. Op methods
 /// RECORD typed Op nodes (shape-checked, output tensor preallocated) instead
-/// of computing inline; a flush PLANs the recorded batch into chain-fused
-/// cut waves (nn::Plan: maximal single-consumer op chains run sequentially
-/// as one task, barriers only at true fan-in/fan-out cuts; DEEPSEQ_NN_FUSE=0
-/// falls back to per-op waves) and EXECUTEs them on the shared thread pool
-/// (nn::Executor, DEEPSEQ_NN_THREADS) with results bit-identical to
-/// sequential execution.
+/// of computing inline; a flush PLANs the recorded batch into chain tasks
+/// (nn::Plan: maximal single-consumer op chains run sequentially as one
+/// task, linked by dependency edges at true fan-in/fan-out points) and
+/// EXECUTEs them on the shared thread pool (nn::Executor,
+/// DEEPSEQ_NN_THREADS) with results bit-identical to sequential execution.
 ///
 /// Outside a BatchScope every op is flushed as soon as it is recorded, so
 /// `var->value` is always materialized from the caller's point of view —

@@ -20,7 +20,7 @@ namespace deepseq::nn::kernels {
 /// Dispatch is runtime: the AVX2 path runs only when the host supports it
 /// AND DEEPSEQ_NN_SIMD (env_int, default 1) is nonzero. The executor
 /// refreshes the env gate once per flush (refresh_from_env), so a process
-/// can A/B simd on/off between runs exactly like DEEPSEQ_NN_FUSE.
+/// can A/B simd on/off between runs.
 
 /// DEEPSEQ_NN_SIMD knob (env_int): 0 forces the scalar fallback;
 /// unset or any other value enables the vector path where supported.

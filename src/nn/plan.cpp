@@ -4,8 +4,6 @@
 #include <atomic>
 #include <utility>
 
-#include "common/env.hpp"
-
 namespace deepseq::nn {
 
 const char* op_name(OpKind k) {
@@ -85,8 +83,6 @@ int chunk_count(std::uint64_t work, int extent, int threads) {
                          work / kSplitWork, static_cast<std::uint64_t>(cap))));
 }
 
-bool nn_fuse_from_env() { return env_int("DEEPSEQ_NN_FUSE", 1) != 0; }
-
 int chain_len_bucket(int len) {
   if (len <= 1) return 0;
   if (len <= 4) return len - 1;
@@ -141,8 +137,8 @@ int op_chain_rows(const Op& op) {
                                          : op.out->value.rows();
 }
 
-/// Emit one unfused op as PR 3 did: its chunks become single-step tasks of
-/// the current cut (so intra-op row/column parallelism is preserved).
+/// Emit a lone op: its chunks become single-step tasks of the current cut
+/// (so intra-op row/column parallelism is preserved).
 void emit_single_op(Plan& plan, Op* op, std::uint64_t work, int threads) {
   const int extent = op_parallel_extent(*op);
   if (extent <= 0) {
@@ -182,7 +178,7 @@ void Plan::reserve(std::size_t cuts, std::size_t tasks, std::size_t steps) {
   steps_.reserve(steps);
 }
 
-Plan Plan::build(const std::vector<Op*>& ops, int threads, bool fuse) {
+Plan Plan::build(const std::vector<Op*>& ops, int threads) {
   Plan plan;
   const std::size_t n = ops.size();
   if (n == 0) return plan;
@@ -337,7 +333,7 @@ Plan Plan::build(const std::vector<Op*>& ops, int threads, bool fuse) {
     // parallelism is lost (row-range tasks carry each slice end to end).
     std::size_t a_count = 0;
     rselect.assign(roots.size(), 0);
-    if (fuse && kind_aligned) {
+    if (kind_aligned) {
       for (std::size_t j = 0; j < roots.size(); ++j)
         if (rfusable[j] && caligned[roots[j]] && crows[roots[j]] == rows_i &&
             !forbidden(roots[j])) {
@@ -351,27 +347,24 @@ Plan Plan::build(const std::vector<Op*>& ops, int threads, bool fuse) {
     // component would have run as a single task anyway) and the
     // non-dominant side work is below one chunk's worth — so deep narrow
     // chains fuse without bound while wide graphs keep their row chunking.
-    bool b_ok = false;
     std::size_t b_count = 0;
-    if (fuse) {
-      std::uint64_t sum = wi, maxw = wi;
-      int lost = chunk_count(wi, op_parallel_extent(*op), threads) - 1;
-      for (std::size_t j = 0; j < roots.size(); ++j) {
-        if (!rfusable[j]) continue;
-        ++b_count;
-        const std::uint32_t r = roots[j];
-        sum += cwork[r];
-        maxw = std::max(maxw, cwork[r]);
-        if (caligned[r]) {
-          lost += chunk_count(cwork[r], crows[r], threads) - 1;
-        } else if (csize[r] == 1) {
-          // A lone non-aligned op may still have been column-chunked
-          // (segment_sum/segment_max); a singleton's root is the op itself.
-          lost += chunk_count(cwork[r], op_parallel_extent(*ops[r]), threads) - 1;
-        }
+    std::uint64_t sum = wi, maxw = wi;
+    int lost = chunk_count(wi, op_parallel_extent(*op), threads) - 1;
+    for (std::size_t j = 0; j < roots.size(); ++j) {
+      if (!rfusable[j]) continue;
+      ++b_count;
+      const std::uint32_t r = roots[j];
+      sum += cwork[r];
+      maxw = std::max(maxw, cwork[r]);
+      if (caligned[r]) {
+        lost += chunk_count(cwork[r], crows[r], threads) - 1;
+      } else if (csize[r] == 1) {
+        // A lone non-aligned op may still have been column-chunked
+        // (segment_sum/segment_max); a singleton's root is the op itself.
+        lost += chunk_count(cwork[r], op_parallel_extent(*ops[r]), threads) - 1;
       }
-      b_ok = b_count > 0 && lost == 0 && sum - maxw <= kSplitWork;
     }
+    const bool b_ok = b_count > 0 && lost == 0 && sum - maxw <= kSplitWork;
 
     const bool use_a = a_count > 0 && !(b_ok && b_count > a_count);
     const bool use_b = !use_a && b_ok;
@@ -478,7 +471,7 @@ Plan Plan::build(const std::vector<Op*>& ops, int threads, bool fuse) {
       if (caligned[root]) {
         // Row-splittable chain: K tasks, each carrying its row slice
         // through every step — same disjoint-output coverage and inner
-        // order as PR 3's per-op chunks, so results stay bit-identical.
+        // order as per-op chunks, so results stay bit-identical.
         const int rows = crows[root];
         const int k = chunk_count(cwork[root], rows, threads);
         const std::uint64_t share =

@@ -38,7 +38,7 @@ inline constexpr int kRoleAll = -3;
 /// One schedulable unit: a run of steps [first, first + count) in the
 /// owning Plan that a single thread executes sequentially, end to end. A
 /// fused chain of ops becomes one task (or K row-range tasks when the chain
-/// is uniformly row-splittable); an unfused op's chunks become one
+/// is uniformly row-splittable); a lone op's chunks become one
 /// single-step task each.
 struct ChainTask {
   std::uint32_t first = 0;
@@ -47,10 +47,11 @@ struct ChainTask {
 };
 
 /// A cut wave: tasks [first_task, first_task + task_count) that are mutually
-/// independent — no task's chain consumes another same-cut task's output —
-/// so the executor may run them in any order or concurrently. One barrier
-/// separates consecutive cuts; cuts exist only at true fan-in/fan-out points
-/// of the contracted chain DAG.
+/// independent — no task's chain consumes another same-cut task's output.
+/// Cuts are the planner's leveling of the contracted chain DAG (they exist
+/// only at true fan-in/fan-out points); tasks are stored in cut order, so a
+/// flat walk of the tasks is a valid sequential execution. The executor
+/// itself orders tasks through the dependency layer, not by cut.
 struct CutWave {
   std::uint32_t first_task = 0;
   std::uint32_t task_count = 0;
@@ -75,12 +76,6 @@ inline constexpr std::uint64_t kSplitWork = 8192;
 /// The shared splitting rule (forward planning and backward parts): chunks
 /// for a kernel of `work` estimated scalar ops over `extent` rows.
 int chunk_count(std::uint64_t work, int extent, int threads);
-
-/// DEEPSEQ_NN_FUSE knob (strict env_int): 0 falls back to unfused
-/// one-chunk-task-per-op wave plans (PR 3 behavior) for A/B benching and
-/// bisection; any other value (and unset) enables chain fusion. Read per
-/// flush, so a process can toggle it between runs.
-bool nn_fuse_from_env();
 
 /// Chain-length histogram buckets: 1, 2, 3, 4, 5-8, 9-16, 17-32, 33+.
 inline constexpr int kChainHistBuckets = 8;
@@ -121,12 +116,12 @@ struct DepNode {
 /// at it (which provably keeps the contracted DAG acyclic), either
 /// preserving row-splittability (aligned chains, which emit K row-range
 /// tasks sized for `threads` workers) or sequentially when no parallel
-/// slots are lost. Barriers remain only between cut waves — the true
-/// fan-in/fan-out points. Executor::run_backward assembles backward plans
-/// through the same container.
+/// slots are lost. Cut waves remain only at the true fan-in/fan-out points.
+/// Executor::run_backward assembles backward plans through the same
+/// container.
 class Plan {
  public:
-  static Plan build(const std::vector<Op*>& ops, int threads, bool fuse);
+  static Plan build(const std::vector<Op*>& ops, int threads);
 
   bool empty() const { return steps_.empty(); }
   const std::vector<CutWave>& cuts() const { return cuts_; }
@@ -134,8 +129,6 @@ class Plan {
   const Chunk* steps() const { return steps_.data(); }
   std::size_t step_count() const { return steps_.size(); }
 
-  /// One barrier per cut wave: the structural quantity chain fusion shrinks.
-  std::size_t barrier_count() const { return cuts_.size(); }
   const PlanStats& stats() const { return stats_; }
 
   // ---- dependency-counted schedule ----------------------------------------
@@ -147,18 +140,17 @@ class Plan {
   /// Owning DepNode id per task (parallel to tasks()).
   const std::vector<std::uint32_t>& task_node() const { return task_node_; }
   /// Global synchronization points a dep-scheduled execution performs: the
-  /// single end-of-flush completion wait (0 for an empty plan). Contrast
-  /// with barrier_count(), which the per-cut barrier scheduler pays. Both
-  /// are structural — independent of how many cores actually run the plan.
+  /// single end-of-flush completion wait (0 for an empty plan). Structural —
+  /// independent of how many cores actually run the plan.
   std::size_t global_syncs() const { return steps_.empty() ? 0 : 1; }
   /// Tasks released by a finishing producer (in_tasks > 0 nodes) under
   /// dependency-counted scheduling; the remainder are runnable at flush
   /// start.
   std::uint32_t released_task_count() const;
-  /// Link consecutive cuts as a dependency chain (cut w feeds cut w+1):
-  /// exactly the barrier schedule's ordering, as one DepNode per cut. The
-  /// backward planner uses this — per-op scatter accumulation order must
-  /// survive — trading per-cut barriers for countdown releases with one
+  /// Link consecutive cuts as a dependency chain (cut w feeds cut w+1), as
+  /// one DepNode per cut: every task of cut w finishes before any task of
+  /// cut w+1 starts. The backward planner uses this — per-op scatter
+  /// accumulation order must survive — paying countdown releases and one
   /// end-of-flush sync.
   void link_cuts_sequential();
 

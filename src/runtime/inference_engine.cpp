@@ -26,10 +26,9 @@ struct EngineMetrics {
   obs::Histogram& batch_size = reg.histogram("engine.batch_size");
   // Chain-executor work folded out of nn::ExecStats per traced embed.
   obs::Counter& nn_chains = reg.counter("nn.chains");
-  obs::Counter& nn_barriers = reg.counter("nn.barriers");
   obs::Counter& nn_steps = reg.counter("nn.steps");
-  // Dependency-counted scheduling: global syncs the active scheduler paid
-  // and chain tasks released by finishing producers (vs. held at barriers).
+  // Dependency-counted scheduling: global syncs paid and chain tasks
+  // released by finishing producers.
   obs::Counter& nn_global_syncs = reg.counter("nn.global_syncs");
   obs::Counter& nn_released_chains = reg.counter("nn.released_chains");
   // State-slab traffic: rows gathered from / scattered into state slabs.
@@ -247,8 +246,8 @@ EmbeddingResult InferenceEngine::process(
 
     if (request.want_embedding) {
       // The "embed" span folds the chain executor's work (nn::ExecStats)
-      // into the task trace: flushes, fused chains, barriers, kernel steps,
-      // scheduler global syncs, released chains, slab rows, simd lanes.
+      // into the task trace: fused chains, kernel steps, flushes, scheduler
+      // global syncs, released chains, slab rows, simd lanes.
       // The per-flush stats collection itself is gated on tracing so the
       // disabled path stays free of extra clock reads.
       const std::uint64_t t0 = tracing ? obs::trace_now_ns() : 0;
@@ -265,8 +264,6 @@ EmbeddingResult InferenceEngine::process(
       if (tracing) {
         auto& metrics = EngineMetrics::get();
         metrics.nn_chains.inc(static_cast<std::uint64_t>(exec_stats.chains));
-        metrics.nn_barriers.inc(
-            static_cast<std::uint64_t>(exec_stats.barriers));
         metrics.nn_steps.inc(static_cast<std::uint64_t>(exec_stats.steps));
         metrics.nn_global_syncs.inc(
             static_cast<std::uint64_t>(exec_stats.global_syncs));
@@ -279,20 +276,18 @@ EmbeddingResult InferenceEngine::process(
             make_span("embed", t0, obs::trace_now_ns(), request.trace, digest);
         e.arg_name[0] = "chains";
         e.arg[0] = exec_stats.chains;
-        e.arg_name[1] = "barriers";
-        e.arg[1] = exec_stats.barriers;
-        e.arg_name[2] = "steps";
-        e.arg[2] = exec_stats.steps;
-        e.arg_name[3] = "flushes";
-        e.arg[3] = exec_stats.flushes;
-        e.arg_name[4] = "global_syncs";
-        e.arg[4] = exec_stats.global_syncs;
-        e.arg_name[5] = "released_chains";
-        e.arg[5] = exec_stats.released_chains;
-        e.arg_name[6] = "slab_rows";
-        e.arg[6] = exec_stats.slab_gather_rows + exec_stats.slab_scatter_rows;
-        e.arg_name[7] = "simd_lanes";
-        e.arg[7] = exec_stats.simd_lanes;
+        e.arg_name[1] = "steps";
+        e.arg[1] = exec_stats.steps;
+        e.arg_name[2] = "flushes";
+        e.arg[2] = exec_stats.flushes;
+        e.arg_name[3] = "global_syncs";
+        e.arg[3] = exec_stats.global_syncs;
+        e.arg_name[4] = "released_chains";
+        e.arg[4] = exec_stats.released_chains;
+        e.arg_name[5] = "slab_rows";
+        e.arg[5] = exec_stats.slab_gather_rows + exec_stats.slab_scatter_rows;
+        e.arg_name[6] = "simd_lanes";
+        e.arg[6] = exec_stats.simd_lanes;
         obs::TraceSink::global().record(e);
       }
       if (config_.cache_embeddings) cache_.put_embedding(ekey, embedding);

@@ -7,9 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
 #include "core/model.hpp"
@@ -74,14 +71,9 @@ TEST(Executor, ParallelBackwardBitIdenticalToSequentialForAllPresets) {
 
 TEST(Executor, ParallelCutsActuallyDispatch) {
   // Guard against silently testing the inline path only: at 4 threads the
-  // deepseq preset on this fixture must cross the parallel-dispatch
-  // thresholds in at least one cut wave, and chain fusion must actually
-  // fuse ops (multi-op chains) rather than degenerate to one op per task.
-  // Fusion is pinned on explicitly: the CI matrix also runs this suite
-  // under DEEPSEQ_NN_FUSE=0, where unfused plans are the contract.
-  const char* prev_fuse = std::getenv("DEEPSEQ_NN_FUSE");
-  const std::string prev_fuse_value = prev_fuse != nullptr ? prev_fuse : "";
-  ::setenv("DEEPSEQ_NN_FUSE", "1", 1);
+  // deepseq preset on this fixture must enlist pool helpers for at least
+  // one flush, and chain fusion must actually fuse ops (multi-op chains)
+  // rather than degenerate to one op per task.
   runtime::ThreadPool pool(4);
   nn::Executor parallel(&pool, 4);
   nn::ExecStats stats;
@@ -93,17 +85,9 @@ TEST(Executor, ParallelCutsActuallyDispatch) {
     model.embed(g, parity_fixture().graph, parity_fixture().workload, 7);
   }
   EXPECT_GT(stats.flushes, 0);
-  EXPECT_GT(stats.barriers, stats.flushes);  // levels plan to multi-cut DAGs
-  EXPECT_GT(stats.parallel_cuts, 0);
-  EXPECT_GT(stats.steps, stats.barriers);
+  EXPECT_GT(stats.parallel_flushes, 0);
   EXPECT_GT(stats.chains, 0);
-  EXPECT_GT(stats.fused_ops, 0);           // chains longer than one op exist
-  EXPECT_GT(stats.chains, stats.barriers);  // cuts hold more than one chain
-  if (prev_fuse != nullptr) {
-    ::setenv("DEEPSEQ_NN_FUSE", prev_fuse_value.c_str(), 1);
-  } else {
-    ::unsetenv("DEEPSEQ_NN_FUSE");
-  }
+  EXPECT_GT(stats.fused_ops, 0);  // chains longer than one op exist
 }
 
 TEST(Executor, GradCheckPassesUnderFourThreads) {

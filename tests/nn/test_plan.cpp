@@ -1,23 +1,23 @@
-// Structural tests of the chain-fused plan layer, plus the CI perf gate.
+// Structural tests of the chain-fused plan layer, plus the CI perf gates.
 //
 // The planner's contract has two halves. Structural: a union-find
 // "gather-cut" pass fuses maximal single-consumer op chains into chain
-// tasks, leaving cut-wave barriers only at true fan-in/fan-out points — on
-// a pll-shaped deep-narrow graph the fused plan must carry >= 10x fewer
-// barriers than the unfused (DEEPSEQ_NN_FUSE=0) wave plan, a property of
-// the plan alone and therefore assertable on a 1-core CI box. Behavioral:
-// fused execution is bit-identical to unfused and to sequential — values
-// and gradients — for every ModelConfig preset at 1/2/4 threads and for
-// the degenerate DAG shapes (single op, diamond fan-in/out, aliased
-// operands, empty flush).
+// tasks, leaving cuts only at true fan-in/fan-out points — on a pll-shaped
+// deep-narrow graph the plans must carry >= 10x fewer chains than kernel
+// steps, and dependency-counted scheduling must pay exactly one global
+// sync per flush. Both are properties of the plans alone and therefore
+// assertable on a 1-core CI box. Behavioral: execution is bit-identical to
+// the sequential reference — values and gradients — for every ModelConfig
+// preset at 1/2/4 threads and for the degenerate DAG shapes (single op,
+// diamond fan-in/out, aliased operands, empty flush).
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/model.hpp"
 #include "nn/executor.hpp"
 #include "nn/op.hpp"
@@ -40,25 +40,6 @@ using testsupport::parity_fixture;
 using testsupport::parity_presets;
 using testsupport::train_step_with;
 
-void set_fuse(bool on) { ::setenv("DEEPSEQ_NN_FUSE", on ? "1" : "0", 1); }
-
-/// Restore the ambient DEEPSEQ_NN_FUSE on test exit: the CI matrix runs
-/// this binary under an explicit fuse leg whose setting must survive for
-/// any test that doesn't pin fusion itself.
-struct FuseGuard {
-  FuseGuard() : had(std::getenv("DEEPSEQ_NN_FUSE") != nullptr),
-                value(had ? std::getenv("DEEPSEQ_NN_FUSE") : "") {}
-  ~FuseGuard() {
-    if (had) {
-      ::setenv("DEEPSEQ_NN_FUSE", value.c_str(), 1);
-    } else {
-      ::unsetenv("DEEPSEQ_NN_FUSE");
-    }
-  }
-  bool had;
-  std::string value;
-};
-
 /// Hand-built op DAGs for direct Plan::build structural checks.
 struct OpFactory {
   std::vector<std::unique_ptr<Op>> pool;
@@ -79,49 +60,44 @@ struct OpFactory {
 };
 
 TEST(Plan, EmptyBatchBuildsEmptyPlan) {
-  const Plan plan = Plan::build({}, 4, /*fuse=*/true);
+  const Plan plan = Plan::build({}, 4);
   EXPECT_TRUE(plan.empty());
-  EXPECT_EQ(plan.barrier_count(), 0u);
+  EXPECT_TRUE(plan.cuts().empty());
+  EXPECT_EQ(plan.global_syncs(), 0u);
 }
 
 TEST(Plan, SingleOpIsOneCutOneTask) {
   OpFactory f;
   const Var a = nn::make_constant(Tensor::full(4, 4, 1.0f));
   f.emit(OpKind::kSigmoid, {a}, 4, 4);
-  for (const bool fuse : {true, false}) {
-    const Plan plan = Plan::build(f.ops, 4, fuse);
-    EXPECT_EQ(plan.barrier_count(), 1u);
-    ASSERT_EQ(plan.tasks().size(), 1u);  // small kernel: no row split
-    EXPECT_EQ(plan.tasks()[0].count, 1u);
-    EXPECT_EQ(plan.stats().chains, 1u);
-  }
+  const Plan plan = Plan::build(f.ops, 4);
+  EXPECT_EQ(plan.cuts().size(), 1u);
+  ASSERT_EQ(plan.tasks().size(), 1u);  // small kernel: no row split
+  EXPECT_EQ(plan.tasks()[0].count, 1u);
+  EXPECT_EQ(plan.stats().chains, 1u);
 }
 
 TEST(Plan, LinearChainFusesToOneTask) {
-  // Six small elementwise ops in a single-consumer chain: unfused they are
-  // six barriers; fused they are one cut with one six-step chain task.
+  // Six small elementwise ops in a single-consumer chain fuse into one cut
+  // with one six-step chain task.
   OpFactory f;
   const Var a = nn::make_constant(Tensor::full(4, 4, 1.0f));
   Var x = f.emit(OpKind::kSigmoid, {a}, 4, 4);
   for (int i = 0; i < 5; ++i) x = f.emit(OpKind::kScale, {x}, 4, 4);
 
-  const Plan fused = Plan::build(f.ops, 4, /*fuse=*/true);
-  EXPECT_EQ(fused.barrier_count(), 1u);
+  const Plan fused = Plan::build(f.ops, 4);
+  EXPECT_EQ(fused.cuts().size(), 1u);
   ASSERT_EQ(fused.tasks().size(), 1u);
   EXPECT_EQ(fused.tasks()[0].count, 6u);
   EXPECT_EQ(fused.stats().chains, 1u);
   EXPECT_EQ(fused.stats().fused_ops, 6u);
   EXPECT_EQ(fused.stats().chain_len_hist[nn::chain_len_bucket(6)], 1u);
-
-  const Plan unfused = Plan::build(f.ops, 4, /*fuse=*/false);
-  EXPECT_EQ(unfused.barrier_count(), 6u);
-  EXPECT_EQ(unfused.stats().fused_ops, 0u);
 }
 
 TEST(Plan, DiamondKeepsFanOutCut) {
   // a -> {b, c} -> d: a's fan-out is a true cut (its two consumers may run
   // concurrently), so a stays alone; b, c and d share one fused chain
-  // (every escape of b and c points at d). Two cuts fused, three unfused.
+  // (every escape of b and c points at d): two cuts.
   OpFactory f;
   const Var leaf = nn::make_constant(Tensor::full(4, 4, 1.0f));
   const Var a = f.emit(OpKind::kSigmoid, {leaf}, 4, 4);
@@ -129,13 +105,10 @@ TEST(Plan, DiamondKeepsFanOutCut) {
   const Var c = f.emit(OpKind::kTanh, {a}, 4, 4);
   f.emit(OpKind::kAdd, {b, c}, 4, 4);
 
-  const Plan fused = Plan::build(f.ops, 4, /*fuse=*/true);
-  EXPECT_EQ(fused.barrier_count(), 2u);
+  const Plan fused = Plan::build(f.ops, 4);
+  EXPECT_EQ(fused.cuts().size(), 2u);
   EXPECT_EQ(fused.stats().chains, 2u);
   EXPECT_EQ(fused.stats().fused_ops, 3u);
-
-  const Plan unfused = Plan::build(f.ops, 4, /*fuse=*/false);
-  EXPECT_EQ(unfused.barrier_count(), 3u);
 }
 
 TEST(Plan, AliasedOperandsPlanOnce) {
@@ -145,8 +118,8 @@ TEST(Plan, AliasedOperandsPlanOnce) {
   const Var a = nn::make_constant(Tensor::full(4, 4, 1.0f));
   const Var x = f.emit(OpKind::kSigmoid, {a}, 4, 4);
   f.emit(OpKind::kAdd, {x, x}, 4, 4);
-  const Plan fused = Plan::build(f.ops, 4, /*fuse=*/true);
-  EXPECT_EQ(fused.barrier_count(), 1u);
+  const Plan fused = Plan::build(f.ops, 4);
+  EXPECT_EQ(fused.cuts().size(), 1u);
   EXPECT_EQ(fused.stats().fused_ops, 2u);
 }
 
@@ -162,8 +135,8 @@ TEST(Plan, WideAlignedChainRowSplitsDeterministically) {
   f.emit(OpKind::kSigmoid, {s}, 512, 64);
 
   const int threads = 4;
-  const Plan fused = Plan::build(f.ops, threads, /*fuse=*/true);
-  ASSERT_EQ(fused.barrier_count(), 1u);
+  const Plan fused = Plan::build(f.ops, threads);
+  ASSERT_EQ(fused.cuts().size(), 1u);
   const auto& tasks = fused.tasks();
   ASSERT_EQ(tasks.size(), 4u);  // work >> kSplitWork: split caps at threads
   int rows_covered = 0;
@@ -195,67 +168,59 @@ TEST(Plan, GatherAbsorbsIntoSequentialChainOnlyWhenCheap) {
     f.ops.push_back(op.get());
     f.pool.push_back(std::move(op));
   }
-  const Plan fused = Plan::build(f.ops, 4, /*fuse=*/true);
-  EXPECT_EQ(fused.barrier_count(), 1u);  // tiny work: sequential fuse
+  const Plan fused = Plan::build(f.ops, 4);
+  EXPECT_EQ(fused.cuts().size(), 1u);  // tiny work: sequential fuse
   EXPECT_EQ(fused.stats().fused_ops, 2u);
 }
 
-// ---- behavioral parity: fused vs unfused vs sequential ---------------------
+// ---- behavioral parity: threaded vs sequential ----------------------------
 // (fixture, presets and the train step are shared with test_executor.cpp via
 // tests/support/nn_parity.hpp so both suites pin the same contract)
 
-TEST(PlanParity, FusedMatchesUnfusedForAllPresetsAndThreadCounts) {
-  // Embeddings and gradients bit-identical across DEEPSEQ_NN_FUSE={1,0} x
-  // threads={1,2,4} for every ModelConfig preset. The reference is the
-  // fused sequential run; everything else must memcmp-match it.
-  FuseGuard guard;
+TEST(PlanParity, MatchesSequentialForAllPresetsAndThreadCounts) {
+  // Embeddings (no-grad: state slabs) and gradients (grad mode: per-level
+  // state matrices) bit-identical at threads={1,2,4} for every ModelConfig
+  // preset. The reference is the sequential run; everything else must
+  // memcmp-match it — including the grad-mode embedding, so serving (slabs)
+  // and training (matrices) see the same representation.
   runtime::ThreadPool pool(4);
+  auto embed_with = [](const DeepSeqModel& model, nn::Executor& exec,
+                       bool grad_enabled = false) {
+    nn::ExecutorScope scope(exec);
+    Graph g(grad_enabled);
+    return model.embed(g, parity_fixture().graph, parity_fixture().workload, 7)
+        ->value;
+  };
   for (const ModelConfig& config : parity_presets()) {
     const DeepSeqModel model(config);
-
-    set_fuse(true);
     nn::Executor sequential;
-    Tensor reference;
-    {
-      nn::ExecutorScope scope(sequential);
-      Graph g(/*grad_enabled=*/false);
-      reference = model.embed(g, parity_fixture().graph, parity_fixture().workload, 7)->value;
-    }
+    const Tensor reference = embed_with(model, sequential);
+    EXPECT_TRUE(bit_identical(reference, embed_with(model, sequential, true)))
+        << config.description() << " slab embed diverges from matrix embed";
     const GradRun ref_grads = train_step_with(model, sequential);
 
-    for (const bool fused : {true, false}) {
-      set_fuse(fused);
-      for (const int threads : {1, 2, 4}) {
-        nn::Executor exec(&pool, threads);
-        Tensor got;
-        {
-          nn::ExecutorScope scope(exec);
-          Graph g(/*grad_enabled=*/false);
-          got = model.embed(g, parity_fixture().graph, parity_fixture().workload, 7)->value;
-        }
-        EXPECT_TRUE(bit_identical(reference, got))
-            << config.description() << " embed diverges at " << threads
-            << " threads, fused=" << fused;
-        const GradRun grads = train_step_with(model, exec);
-        EXPECT_EQ(ref_grads.loss, grads.loss)
-            << config.description() << " fused=" << fused;
-        ASSERT_EQ(ref_grads.grads.size(), grads.grads.size());
-        for (std::size_t i = 0; i < ref_grads.grads.size(); ++i)
-          EXPECT_TRUE(bit_identical(ref_grads.grads[i], grads.grads[i]))
-              << config.description() << " grad " << i << " diverges at "
-              << threads << " threads, fused=" << fused;
-      }
+    for (const int threads : {1, 2, 4}) {
+      nn::Executor exec(&pool, threads);
+      EXPECT_TRUE(bit_identical(reference, embed_with(model, exec)))
+          << config.description() << " embed diverges at " << threads
+          << " threads";
+      const GradRun grads = train_step_with(model, exec);
+      EXPECT_EQ(ref_grads.loss, grads.loss)
+          << config.description() << " at " << threads << " threads";
+      ASSERT_EQ(ref_grads.grads.size(), grads.grads.size());
+      for (std::size_t i = 0; i < ref_grads.grads.size(); ++i)
+        EXPECT_TRUE(bit_identical(ref_grads.grads[i], grads.grads[i]))
+            << config.description() << " grad " << i << " diverges at "
+            << threads << " threads";
     }
   }
 }
 
-TEST(PlanParity, DegenerateGraphShapesMatchAcrossFuseModes) {
+TEST(PlanParity, DegenerateGraphShapesMatchSequential) {
   // Diamond fan-in/out, aliased operands and an empty flush, executed
-  // through the Graph in both fuse modes at 1 and 4 threads.
-  FuseGuard guard;
+  // through the Graph at 1 and 4 threads.
   runtime::ThreadPool pool(4);
-  auto run = [&](bool fused, int threads, float* aliased_grad) {
-    set_fuse(fused);
+  auto run = [&](int threads, float* aliased_grad) {
     nn::Executor exec(&pool, threads);
     nn::ExecutorScope scope(exec);
     Graph g(/*grad_enabled=*/true);
@@ -272,35 +237,28 @@ TEST(PlanParity, DegenerateGraphShapesMatchAcrossFuseModes) {
     return loss->value.at(0, 0);
   };
   float ref_grad = 0.0f;
-  const float ref = run(true, 1, &ref_grad);
-  for (const bool fused : {true, false}) {
-    for (const int threads : {1, 4}) {
-      float grad = 0.0f;
-      const float loss = run(fused, threads, &grad);
-      EXPECT_EQ(ref, loss) << "fused=" << fused << " threads=" << threads;
-      EXPECT_EQ(ref_grad, grad) << "fused=" << fused << " threads=" << threads;
-    }
-  }
+  const float ref = run(1, &ref_grad);
+  float grad = 0.0f;
+  const float loss = run(4, &grad);
+  EXPECT_EQ(ref, loss);
+  EXPECT_EQ(ref_grad, grad);
 }
 
 // ---- the CI structural perf gate -------------------------------------------
 
-TEST(PlanStructure, PllShapedGraphCutsBarriersTenfold) {
+TEST(PlanStructure, PllShapedGraphFusesChainsTenfold) {
   // A pll-shaped graph: deep (320 levels) and narrow (16 rows), each level
   // a gather off the previous level's output followed by a thin elementwise
-  // chain — the shape whose per-wave barriers erased PR 3's speedup. The
-  // fused plan must carry at most a tenth of the unfused plan's barriers.
-  // Both plans are built at 4 planner threads regardless of host cores:
-  // the assertion is structural, not a timing.
-  FuseGuard guard;
+  // chain — the shape whose per-op scheduling erased the early parallel
+  // speedup. Fusion must pack at least ten kernel steps into every chain.
+  // Plans are built at 4 planner threads regardless of host cores: the
+  // assertion is structural, not a timing.
   runtime::ThreadPool pool(4);
   constexpr int kLevels = 320;
   constexpr int kRows = 16;
   constexpr int kLevelsPerFlush = 32;
 
-  auto trace = [&](bool fused) {
-    set_fuse(fused);
-    nn::Executor exec(&pool, 4);
+  auto trace = [&](nn::Executor& exec) {
     nn::ExecutorScope scope(exec);
     nn::ExecStats stats;
     nn::ExecTraceScope ts(stats);
@@ -324,85 +282,20 @@ TEST(PlanStructure, PllShapedGraphCutsBarriersTenfold) {
     return std::pair<nn::ExecStats, Tensor>(std::move(stats), h->value);
   };
 
-  const auto [fused, fused_out] = trace(true);
-  const auto [unfused, unfused_out] = trace(false);
-  EXPECT_TRUE(bit_identical(fused_out, unfused_out));
-  ASSERT_GT(fused.barriers, 0);
-  ASSERT_GT(unfused.barriers, fused.barriers);
-  // The gate: >= 10x fewer barriers, independent of host core count.
-  EXPECT_LE(fused.barriers * 10, unfused.barriers)
-      << "fused=" << fused.barriers << " unfused=" << unfused.barriers;
+  nn::Executor sequential;
+  nn::Executor parallel(&pool, 4);
+  const auto [seq, seq_out] = trace(sequential);
+  const auto [stats, out] = trace(parallel);
+  EXPECT_TRUE(bit_identical(seq_out, out));
+  ASSERT_GT(stats.chains, 0);
+  // The gate: >= 10x fewer chains than steps, independent of core count.
+  EXPECT_LE(stats.chains * 10, stats.steps)
+      << "chains=" << stats.chains << " steps=" << stats.steps;
   // Fusion actually built long chains, not just fewer one-op tasks.
-  EXPECT_GT(fused.fused_ops, (kLevels * 13) / 2);
+  EXPECT_GT(stats.fused_ops, (kLevels * 13) / 2);
 }
 
 // ---- dependency-counted scheduling and state slabs --------------------------
-
-/// Save/restore one env knob (DEEPSEQ_NN_DEPSCHED / DEEPSEQ_NN_SLAB), so
-/// these tests compose with any ambient CI matrix leg.
-struct EnvVarGuard {
-  explicit EnvVarGuard(const char* n)
-      : name(n),
-        had(std::getenv(n) != nullptr),
-        value(had ? std::getenv(n) : "") {}
-  ~EnvVarGuard() {
-    if (had) {
-      ::setenv(name, value.c_str(), 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  const char* name;
-  bool had;
-  std::string value;
-};
-
-TEST(DepSchedParity, DepCountedMatchesBarrierForAllPresetsAndThreadCounts) {
-  // Embeddings and gradients bit-identical across DEEPSEQ_NN_DEPSCHED={1,0}
-  // x threads={1,2,4} for every ModelConfig preset; embeddings additionally
-  // across DEEPSEQ_NN_SLAB={1,0} (slabs are inference-only). The reference
-  // is the dep-scheduled, slab-enabled sequential run.
-  FuseGuard fuse_guard;
-  EnvVarGuard dep_guard("DEEPSEQ_NN_DEPSCHED");
-  EnvVarGuard slab_guard("DEEPSEQ_NN_SLAB");
-  set_fuse(true);
-  runtime::ThreadPool pool(4);
-  auto embed_with = [](const DeepSeqModel& model, nn::Executor& exec) {
-    nn::ExecutorScope scope(exec);
-    Graph g(/*grad_enabled=*/false);
-    return model.embed(g, parity_fixture().graph, parity_fixture().workload, 7)
-        ->value;
-  };
-  for (const ModelConfig& config : parity_presets()) {
-    const DeepSeqModel model(config);
-    ::setenv("DEEPSEQ_NN_DEPSCHED", "1", 1);
-    ::setenv("DEEPSEQ_NN_SLAB", "1", 1);
-    nn::Executor sequential;
-    const Tensor reference = embed_with(model, sequential);
-    const GradRun ref_grads = train_step_with(model, sequential);
-
-    for (const bool dep : {true, false}) {
-      ::setenv("DEEPSEQ_NN_DEPSCHED", dep ? "1" : "0", 1);
-      for (const int threads : {1, 2, 4}) {
-        nn::Executor exec(&pool, threads);
-        for (const bool slab : {true, false}) {
-          ::setenv("DEEPSEQ_NN_SLAB", slab ? "1" : "0", 1);
-          EXPECT_TRUE(bit_identical(reference, embed_with(model, exec)))
-              << config.description() << " embed diverges at " << threads
-              << " threads, depsched=" << dep << ", slab=" << slab;
-        }
-        const GradRun grads = train_step_with(model, exec);
-        EXPECT_EQ(ref_grads.loss, grads.loss)
-            << config.description() << " depsched=" << dep;
-        ASSERT_EQ(ref_grads.grads.size(), grads.grads.size());
-        for (std::size_t i = 0; i < ref_grads.grads.size(); ++i)
-          EXPECT_TRUE(bit_identical(ref_grads.grads[i], grads.grads[i]))
-              << config.description() << " grad " << i << " diverges at "
-              << threads << " threads, depsched=" << dep;
-      }
-    }
-  }
-}
 
 TEST(PlanStructure, DepNodesCoverTasksWithProducerFirstEdges) {
   // The dependency layer of a built plan must be a consistent DAG covering
@@ -418,39 +311,58 @@ TEST(PlanStructure, DepNodesCoverTasksWithProducerFirstEdges) {
   const Var d = f.emit(OpKind::kAdd, {b, c}, 64, 32);
   f.emit(OpKind::kSigmoid, {d}, 64, 32);
 
-  for (const bool fuse : {true, false}) {
-    const Plan plan = Plan::build(f.ops, 4, fuse);
-    ASSERT_TRUE(plan.dep_linked());
-    const auto& nodes = plan.dep_nodes();
-    ASSERT_EQ(plan.task_node().size(), plan.tasks().size());
-    std::vector<std::uint32_t> in_tasks(nodes.size(), 0);
-    std::uint32_t covered = 0;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      covered += nodes[i].task_count;
-      for (std::uint32_t t = 0; t < nodes[i].task_count; ++t)
-        EXPECT_EQ(plan.task_node()[nodes[i].first_task + t], i);
-      for (std::uint32_t c2 = nodes[i].consumers_begin;
-           c2 < nodes[i].consumers_end; ++c2) {
-        const std::uint32_t peer = plan.dep_consumers()[c2];
-        EXPECT_GT(peer, i);  // producers-first emission
-        in_tasks[peer] += nodes[i].task_count;
-      }
+  const Plan plan = Plan::build(f.ops, 4);
+  ASSERT_TRUE(plan.dep_linked());
+  const auto& nodes = plan.dep_nodes();
+  ASSERT_EQ(plan.task_node().size(), plan.tasks().size());
+  std::vector<std::uint32_t> in_tasks(nodes.size(), 0);
+  std::uint32_t covered = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    covered += nodes[i].task_count;
+    for (std::uint32_t t = 0; t < nodes[i].task_count; ++t)
+      EXPECT_EQ(plan.task_node()[nodes[i].first_task + t], i);
+    for (std::uint32_t c2 = nodes[i].consumers_begin;
+         c2 < nodes[i].consumers_end; ++c2) {
+      const std::uint32_t peer = plan.dep_consumers()[c2];
+      EXPECT_GT(peer, i);  // producers-first emission
+      in_tasks[peer] += nodes[i].task_count;
     }
-    EXPECT_EQ(covered, plan.tasks().size());
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-      EXPECT_EQ(nodes[i].in_tasks, in_tasks[i]) << "node " << i;
+  }
+  EXPECT_EQ(covered, plan.tasks().size());
+  for (std::size_t i = 0; i < nodes.size(); ++i)
+    EXPECT_EQ(nodes[i].in_tasks, in_tasks[i]) << "node " << i;
+}
+
+TEST(PlanStructure, UnlinkedPlanIsRejectedAtEveryThreadCount) {
+  // A hand-assembled plan that never got a dependency layer would leave the
+  // dependency-counted driver with nothing to publish. The executor must
+  // fail fast with a typed error instead — on the inline path too, so a
+  // 1-thread run can't mask the bug a 4-thread run would hang on. The task
+  // work estimates are large enough to cross the parallel-dispatch
+  // threshold at 4 threads.
+  OpFactory f;
+  const Var a = nn::make_constant(Tensor::full(4, 4, 1.0f));
+  f.emit(OpKind::kSigmoid, {a}, 4, 4);
+  f.emit(OpKind::kTanh, {a}, 4, 4);
+  runtime::ThreadPool pool(4);
+  for (const int threads : {1, 4}) {
+    Plan plan;
+    plan.add_cut();
+    for (Op* op : f.ops) {
+      plan.add_task(std::uint64_t{1} << 20);
+      plan.add_step(Chunk{op, 0, 4, nn::kRoleForward});
+    }
+    ASSERT_FALSE(plan.dep_linked());
+    nn::Executor exec(&pool, threads);
+    EXPECT_THROW(exec.run(std::move(plan)), Error) << threads << " threads";
   }
 }
 
 TEST(PlanStructure, DepSchedulingCollapsesGlobalSyncsToOnePerFlush) {
-  // The same pll-shaped deep-narrow graph as the barrier gate above, traced
-  // under both schedulers. Dependency-counted scheduling must pay exactly
-  // one global sync per flush — independent of host core count, since the
-  // counter is structural — where the barrier scheduler pays one per cut
-  // (hundreds on this graph). This is the PR's structural CI gate.
-  FuseGuard fuse_guard;
-  EnvVarGuard dep_guard("DEEPSEQ_NN_DEPSCHED");
-  set_fuse(true);
+  // A pll-shaped deep-narrow graph whose plans carry many cuts per flush.
+  // Dependency-counted scheduling must pay exactly one global sync per
+  // flush — independent of host core count, since the counter is
+  // structural.
   runtime::ThreadPool pool(4);
   constexpr int kLevels = 320;
   constexpr int kRows = 16;
@@ -459,10 +371,8 @@ TEST(PlanStructure, DepSchedulingCollapsesGlobalSyncsToOnePerFlush) {
   // Each level gathers the previous level AND adds a skip connection from
   // two levels back: the two-consumer fan-out is a true cut chain fusion
   // cannot contract (a purely linear recurrence would fuse whole flushes
-  // into single chains, hiding the scheduler difference).
-  auto trace = [&](bool dep) {
-    ::setenv("DEEPSEQ_NN_DEPSCHED", dep ? "1" : "0", 1);
-    nn::Executor exec(&pool, 4);
+  // into single chains, leaving nothing to release).
+  auto trace = [&](nn::Executor& exec) {
     nn::ExecutorScope scope(exec);
     nn::ExecStats stats;
     nn::ExecTraceScope ts(stats);
@@ -489,22 +399,17 @@ TEST(PlanStructure, DepSchedulingCollapsesGlobalSyncsToOnePerFlush) {
     return std::pair<nn::ExecStats, Tensor>(std::move(stats), prev->value);
   };
 
-  const auto [dep, dep_out] = trace(true);
-  const auto [barrier, barrier_out] = trace(false);
-  EXPECT_TRUE(bit_identical(dep_out, barrier_out));
+  nn::Executor sequential;
+  nn::Executor parallel(&pool, 4);
+  const auto [seq, seq_out] = trace(sequential);
+  const auto [dep, dep_out] = trace(parallel);
+  EXPECT_TRUE(bit_identical(seq_out, dep_out));
   // One end-of-flush sync per flush, nothing else — however many cuts the
   // plans carry.
   EXPECT_EQ(dep.global_syncs, dep.flushes);
   EXPECT_EQ(dep.flushes, (kLevels + kLevelsPerFlush - 1) / kLevelsPerFlush);
-  // The barrier scheduler pays per cut: at least tenfold on this shape.
-  EXPECT_GE(barrier.global_syncs, dep.global_syncs * 10)
-      << "dep=" << dep.global_syncs << " barrier=" << barrier.global_syncs;
-  // Dep scheduling actually released chains downstream of the roots; the
-  // barrier scheduler held those same chains behind barriers instead.
+  // Dep scheduling actually released chains downstream of the roots.
   EXPECT_GT(dep.released_chains, 0);
-  EXPECT_EQ(barrier.released_chains, 0);
-  EXPECT_GT(barrier.barriered_chains, 0);
-  EXPECT_EQ(dep.barriered_chains, 0);
 }
 
 TEST(PlanStructure, SlabChainsFuseAndCountInHistogram) {
@@ -513,10 +418,6 @@ TEST(PlanStructure, SlabChainsFuseAndCountInHistogram) {
   // state matrices to escape into), so whole levels — scatter included —
   // must fuse into multi-op chains, and the chain-length histogram must
   // count those fused-slab chains in its >= 5-step buckets.
-  FuseGuard fuse_guard;
-  EnvVarGuard dep_guard("DEEPSEQ_NN_DEPSCHED");
-  set_fuse(true);
-  ::setenv("DEEPSEQ_NN_DEPSCHED", "1", 1);
   nn::Executor exec;  // sequential: histogram is structural
   nn::ExecutorScope scope(exec);
   nn::ExecStats stats;
@@ -544,7 +445,7 @@ TEST(PlanStructure, SlabChainsFuseAndCountInHistogram) {
   // gather and the elementwise run must fuse into one chain per level (the
   // scatter stays its own cluster: its reader-ordering edges forbid joining
   // a potentially row-split chain), so at most 2 chains per level — far
-  // fewer than the 8 waves the unfused planner would emit — and the
+  // fewer than the 8 ops recorded — and the
   // histogram must count the fused-slab chains in its >= 5-step buckets.
   ASSERT_GT(stats.chains, 0);
   EXPECT_LE(stats.chains, kLevels * 2);
