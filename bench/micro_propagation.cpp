@@ -1,26 +1,23 @@
-// Single-circuit propagation microbenchmark across the Table IV designs,
-// nn-executor thread counts and DEEPSEQ_NN_SIMD settings: the
-// dependency-counted chain execution core this bench exists to track. For
-// every design the bench times DeepSeqModel::embed under
-// DEEPSEQ_NN_THREADS-equivalent executors (1 = the sequential path) with
-// simd off and on, checks every combination bit-identical to sequential
-// scalar, and — for the largest design — verifies gradient bit-identity in
-// grad mode, records per-level (per planner flush) timing, and reports the
-// structural chain statistics: global syncs the scheduler pays, released
-// chains, slab row traffic, chains and the chain-length histogram. A
-// record-overhead micro reports ns per recorded op.
+// Single-circuit propagation microbenchmark across the Table IV designs.
+// For every design the bench times DeepSeqModel::embed — the fused no-grad
+// inference pass serving runs — with DEEPSEQ_NN_SIMD off and on, and checks
+// both embeddings bit-identical to the planned grad-mode embedding under
+// the sequential scalar executor (the record/plan/execute path training
+// runs). The fused pass never touches the nn executor, so the thread axis
+// survives only for grad mode: on the largest design a full training step
+// (forward, both L1 heads, backward) runs under executors of every swept
+// thread count and must reproduce the sequential loss and every parameter
+// gradient bit-for-bit; those rows also carry the planner's structural
+// counters (global syncs, released chains, chains, fused ops). A
+// record-overhead micro reports ns per recorded op of the record layer.
 //
-// Emits a table and micro_propagation.json (bench_util::JsonWriter) with
-// `threads` and `simd` dimensions so the perf trajectory of the
-// record/plan/execute stack is machine-readable across commits (the repo
-// commits a snapshot as BENCH_micro_propagation.json at the root). The
-// structural fields (global_syncs, chains, chain_len_histogram) depend
-// only on the plans, never on host core count — a 1-core CI box verifies
-// them deterministically; only the speedup column needs a multi-core host
-// (`hardware_concurrency` is part of the JSON so ~1.0x is
-// self-explaining).
+// Emits a table and micro_propagation.json (bench_util::JsonWriter) so the
+// perf trajectory is machine-readable across commits (the repo commits a
+// snapshot as BENCH_micro_propagation.json at the root); `levels` holds the
+// largest design's fused per-sweep timing. Exits 1 when any bit-identity
+// check fails.
 //
-// Knobs: DEEPSEQ_PROP_THREADS (max thread sweep, default 4),
+// Knobs: DEEPSEQ_PROP_THREADS (max grad-mode thread sweep, default 4),
 // DEEPSEQ_PROP_REPS (timing repetitions, default 3), DEEPSEQ_FULL=1 for
 // paper-scale designs and model.
 
@@ -38,7 +35,6 @@
 #include "dataset/test_designs.hpp"
 #include "netlist/aig.hpp"
 #include "nn/executor.hpp"
-#include "nn/gradcheck.hpp"
 #include "runtime/thread_pool.hpp"
 
 using namespace deepseq;
@@ -62,51 +58,39 @@ bool bit_identical(const nn::Tensor& a, const nn::Tensor& b) {
 
 void set_simd(bool on) { ::setenv("DEEPSEQ_NN_SIMD", on ? "1" : "0", 1); }
 
-double time_embed(const DeepSeqModel& model, const Design& d,
-                  nn::Executor& exec, int reps, nn::Tensor* out,
-                  nn::ExecStats* stats = nullptr) {
-  nn::ExecutorScope scope(exec);
+/// Best-of-`reps` fused embed; the first rep's output and ExecStats are
+/// returned through `out` / `stats`.
+double time_embed(const DeepSeqModel& model, const Design& d, int reps,
+                  nn::Tensor* out, nn::ExecStats* stats) {
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
-    const bool trace = stats != nullptr && rep == 0;
     nn::ExecStats local;
     WallTimer t;
     nn::Graph g(/*grad_enabled=*/false);
     nn::Var e;
-    if (trace) {
+    if (rep == 0) {
       nn::ExecTraceScope ts(local);
       e = model.embed(g, d.graph, d.workload, 7);
     } else {
       e = model.embed(g, d.graph, d.workload, 7);
     }
     best = std::min(best, t.millis());
-    if (trace) *stats = std::move(local);
-    if (rep == 0 && out != nullptr) *out = e->value;
+    if (rep == 0) {
+      *stats = std::move(local);
+      *out = e->value;
+    }
   }
   return best;
 }
 
-void json_exec_stats(JsonWriter& json, const nn::ExecStats& stats) {
-  json.begin_object();
-  json.field("flushes", stats.flushes);
-  json.field("global_syncs", stats.global_syncs);
-  json.field("released_chains", stats.released_chains);
-  json.field("chains", stats.chains);
-  json.field("steps", stats.steps);
-  json.field("fused_ops", stats.fused_ops);
-  json.field("parallel_flushes", stats.parallel_flushes);
-  json.field("slab_gather_rows", stats.slab_gather_rows);
-  json.field("slab_scatter_rows", stats.slab_scatter_rows);
-  json.field("simd_lanes", stats.simd_lanes);
-  json.key("chain_len_histogram");
-  json.begin_object();
-  for (int b = 0; b < nn::kChainHistBuckets; ++b)
-    json.field(nn::chain_len_bucket_name(b), stats.chain_len_hist[b]);
-  json.end_object();
-  json.begin_array("flush_ms");
-  for (const double ms : stats.flush_ms) json.value(ms);
-  json.end_array();
-  json.end_object();
+/// The planned grad-mode embedding under the sequential scalar executor:
+/// the reference every fused embedding must reproduce.
+nn::Tensor planned_embed(const DeepSeqModel& model, const Design& d) {
+  set_simd(false);
+  nn::Executor sequential;
+  nn::ExecutorScope scope(sequential);
+  nn::Graph g(/*grad_enabled=*/true);
+  return model.embed(g, d.graph, d.workload, 7)->value;
 }
 
 /// Record-layer overhead: ns to record (not execute) one small op in a
@@ -140,8 +124,8 @@ double measure_record_ns_per_op() {
 int main() {
   const BenchConfig cfg = BenchConfig::from_env();
   print_banner("PROPAGATION",
-               "single-circuit embed vs nn-executor threads and simd "
-               "(record/plan/execute)",
+               "single-circuit fused embed vs simd; grad-mode parity vs "
+               "nn-executor threads",
                cfg);
 
   const int max_threads = static_cast<int>(env_int("DEEPSEQ_PROP_THREADS", 4));
@@ -168,7 +152,7 @@ int main() {
       largest = i;
 
   const DeepSeqModel model(ModelConfig::deepseq(cfg.hidden, cfg.iterations));
-  runtime::ThreadPool pool(sweep.back());
+  bool all_identical = true;
 
   JsonWriter json;
   json.begin_object();
@@ -180,84 +164,57 @@ int main() {
   json.field("largest_design", designs[largest].name);
   json.begin_array("rows");
 
-  std::printf("%-10s | %6s %6s | %7s %4s | %10s | %8s | %5s\n", "design",
-              "nodes", "levels", "threads", "simd", "embed ms", "speedup",
-              "biteq");
-  std::printf("%.*s\n", 76, std::string(76, '-').c_str());
+  std::printf("%-10s | %6s %6s | %4s | %10s | %8s | %5s\n", "design", "nodes",
+              "levels", "simd", "embed ms", "vs scalar", "biteq");
+  std::printf("%.*s\n", 64, std::string(64, '-').c_str());
 
-  double largest_best_speedup = 0.0;
+  nn::ExecStats largest_stats;
   for (std::size_t i = 0; i < designs.size(); ++i) {
     const Design& d = designs[i];
-    nn::Tensor reference;
-    double seq_ms = 0.0;
-    for (const int threads : sweep) {
-      for (const bool simd : {false, true}) {
-        set_simd(simd);
-        nn::Executor exec(&pool, threads);
-        nn::Tensor embedding;
-        nn::ExecStats stats;
-        const double ms = time_embed(model, d, exec, reps, &embedding, &stats);
-        // Reference: sequential scalar — the schedule every other
-        // combination (simd included) must reproduce bit-for-bit.
-        const bool is_ref = threads == 1 && !simd;
-        const bool identical =
-            is_ref ? true : bit_identical(reference, embedding);
-        if (is_ref) {
-          reference = std::move(embedding);
-          seq_ms = ms;
-        }
-        const double speedup = ms > 0.0 ? seq_ms / ms : 0.0;
-        if (i == largest && threads > 1 && simd)
-          largest_best_speedup = std::max(largest_best_speedup, speedup);
-        std::printf("%-10s | %6zu %6d | %7d %4s | %10.2f | %7.2fx | %5s\n",
-                    d.name.c_str(), d.aig.num_nodes(), d.levels, threads,
-                    simd ? "yes" : "no", ms, speedup,
-                    identical ? "yes" : "NO");
-        json.begin_object();
-        json.field("design", d.name);
-        json.field("nodes", static_cast<std::uint64_t>(d.aig.num_nodes()));
-        json.field("levels", d.levels);
-        json.field("threads", threads);
-        json.field("simd", simd);
-        json.field("embed_ms", ms);
-        json.field("ns_per_flush",
-                   stats.flushes > 0 ? ms * 1e6 / stats.flushes : 0.0);
-        json.field("speedup_vs_1t", speedup);
-        json.field("bit_identical", identical);
-        json.field("global_syncs", stats.global_syncs);
-        json.field("released_chains", stats.released_chains);
-        json.field("chains", stats.chains);
-        json.field("flushes", stats.flushes);
-        json.field("slab_gather_rows", stats.slab_gather_rows);
-        json.field("slab_scatter_rows", stats.slab_scatter_rows);
-        json.field("simd_lanes", stats.simd_lanes);
-        json.end_object();
-        std::fflush(stdout);
-      }
+    const nn::Tensor reference = planned_embed(model, d);
+    double scalar_ms = 0.0;
+    for (const bool simd : {false, true}) {
+      set_simd(simd);
+      nn::Tensor embedding;
+      nn::ExecStats stats;
+      const double ms = time_embed(model, d, reps, &embedding, &stats);
+      const bool identical = bit_identical(reference, embedding);
+      all_identical = all_identical && identical;
+      if (!simd) scalar_ms = ms;
+      const double speedup = ms > 0.0 ? scalar_ms / ms : 0.0;
+      std::printf("%-10s | %6zu %6d | %4s | %10.2f | %7.2fx | %5s\n",
+                  d.name.c_str(), d.aig.num_nodes(), d.levels,
+                  simd ? "yes" : "no", ms, speedup, identical ? "yes" : "NO");
+      json.begin_object();
+      json.field("design", d.name);
+      json.field("nodes", static_cast<std::uint64_t>(d.aig.num_nodes()));
+      json.field("levels", d.levels);
+      json.field("simd", simd);
+      json.field("embed_ms", ms);
+      json.field("speedup_vs_scalar", speedup);
+      json.field("bit_identical", identical);
+      json.field("flushes", stats.flushes);
+      json.field("steps", stats.steps);
+      json.field("slab_gather_rows", stats.slab_gather_rows);
+      json.field("simd_lanes", stats.simd_lanes);
+      json.end_object();
+      std::fflush(stdout);
+      if (i == largest && simd) largest_stats = std::move(stats);
     }
   }
   set_simd(true);
   std::printf("\n");
   json.end_array();  // rows
 
-  // Per-level (per planner flush) structure + timing of the largest design:
-  // sequential vs widest executor — the machine-readable shape of where
-  // time (and synchronization) goes.
-  {
-    const Design& d = designs[largest];
-    nn::ExecStats stats;
-    for (const int threads : {1, sweep.back()}) {
-      nn::Executor exec(&pool, threads);
-      time_embed(model, d, exec, 1, nullptr, &stats);
-      json.key("levels_" + std::to_string(threads) + "t");
-      json_exec_stats(json, stats);
-    }
-    std::printf(
-        "%s chain structure at %d threads: %d flushes, %d global syncs, "
-        "%d chains, %d steps, %d ops fused\n",
-        d.name.c_str(), sweep.back(), stats.flushes, stats.global_syncs,
-        stats.chains, stats.steps, stats.fused_ops);
-  }
+  // Per-sweep timing of the largest design's fused pass (SIMD on).
+  json.key("levels");
+  json.begin_object();
+  json.field("flushes", largest_stats.flushes);
+  json.field("steps", largest_stats.steps);
+  json.begin_array("flush_ms");
+  for (const double ms : largest_stats.flush_ms) json.value(ms);
+  json.end_array();
+  json.end_object();
 
   // Record-layer overhead: arena-allocated, inline-operand op recording.
   {
@@ -267,13 +224,17 @@ int main() {
   }
 
   // Grad-mode parity on the largest design: loss and every parameter
-  // gradient bit-identical between sequential and parallel backward.
+  // gradient bit-identical between the sequential executor and every swept
+  // thread count, with the planner's structural counters per run.
   {
     const Design& d = designs[largest];
     const nn::Tensor target_lg(d.graph.num_nodes, 1);
     const auto params = model.params();
-    auto run = [&](nn::Executor& exec, std::vector<nn::Tensor>& grads) {
+    runtime::ThreadPool pool(sweep.back());
+    auto run = [&](nn::Executor& exec, std::vector<nn::Tensor>& grads,
+                   nn::ExecStats& stats) {
       nn::ExecutorScope scope(exec);
+      nn::ExecTraceScope ts(stats);
       for (const auto& [name, p] : params) {
         (void)name;
         if (p->has_grad()) p->grad.zero();
@@ -291,21 +252,47 @@ int main() {
       }
       return loss->value.at(0, 0);
     };
-    nn::Executor seq;
-    nn::Executor par(&pool, sweep.back());
-    std::vector<nn::Tensor> g_seq, g_par;
-    const float loss_seq = run(seq, g_seq);
-    const float loss_par = run(par, g_par);
-    bool grads_identical = loss_seq == loss_par && g_seq.size() == g_par.size();
-    for (std::size_t k = 0; grads_identical && k < g_seq.size(); ++k)
-      grads_identical = bit_identical(g_seq[k], g_par[k]);
-    std::printf("grad-mode parity on %s at %d threads: %s\n", d.name.c_str(),
-                sweep.back(), grads_identical ? "bit-identical" : "DIVERGED");
-    json.field("grad_bit_identical", grads_identical);
+    std::vector<nn::Tensor> g_ref;
+    float loss_ref = 0.0f;
+    json.begin_array("grad_parity");
+    for (const int threads : sweep) {
+      nn::Executor exec(&pool, threads);
+      std::vector<nn::Tensor> grads;
+      nn::ExecStats stats;
+      WallTimer t;
+      const float loss = run(exec, grads, stats);
+      const double ms = t.millis();
+      if (threads == 1) {
+        g_ref = grads;
+        loss_ref = loss;
+      }
+      bool identical = loss == loss_ref && grads.size() == g_ref.size();
+      for (std::size_t k = 0; identical && k < grads.size(); ++k)
+        identical = bit_identical(g_ref[k], grads[k]);
+      all_identical = all_identical && identical;
+      std::printf(
+          "grad-mode %s at %d threads: %.2f ms, %d flushes, %d global syncs, "
+          "%d chains, %d ops fused, %s\n",
+          d.name.c_str(), threads, ms, stats.flushes, stats.global_syncs,
+          stats.chains, stats.fused_ops,
+          identical ? "bit-identical" : "DIVERGED");
+      json.begin_object();
+      json.field("threads", threads);
+      json.field("train_step_ms", ms);
+      json.field("bit_identical", identical);
+      json.field("flushes", stats.flushes);
+      json.field("global_syncs", stats.global_syncs);
+      json.field("released_chains", stats.released_chains);
+      json.field("chains", stats.chains);
+      json.field("fused_ops", stats.fused_ops);
+      json.field("parallel_flushes", stats.parallel_flushes);
+      json.end_object();
+    }
+    json.end_array();
   }
 
-  json.field("largest_speedup_at_max_threads", largest_best_speedup);
+  json.field("all_bit_identical", all_identical);
   json.end_object();
   write_json_file("micro_propagation.json", json.str());
-  return 0;
+  return all_identical ? 0 : 1;
 }

@@ -68,7 +68,7 @@ DeepSeqBackend::DeepSeqBackend(const ModelConfig& config)
   info_.fingerprint = deepseq_fingerprint(config);
   info_.supports_regress = true;
   info_.supports_reliability = true;
-  info_.threaded_embed = true;
+  info_.threaded_embed = false;  // fused inference pass: see BackendInfo
 }
 
 DeepSeqBackend::DeepSeqBackend(const artifact::Artifact& a)
@@ -85,7 +85,7 @@ DeepSeqBackend::DeepSeqBackend(const artifact::Artifact& a)
   info_.weights = artifact_weights_label(content_hash);
   info_.supports_regress = true;
   info_.supports_reliability = true;
-  info_.threaded_embed = true;
+  info_.threaded_embed = false;  // fused inference pass: see BackendInfo
 }
 
 std::shared_ptr<const BackendState> DeepSeqBackend::prepare(

@@ -1,12 +1,41 @@
 #include "core/aggregator.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
+#include "nn/kernels.hpp"
 
 namespace deepseq {
 
 using nn::Graph;
 using nn::Tensor;
 using nn::Var;
+
+namespace {
+
+/// Conv-sum degree normalizer: 1 / in-degree per target (0 when a target
+/// has no edges), shared by both aggregation paths.
+void inverse_degree(const std::vector<int>& segment, int num_targets,
+                    float* out) {
+  std::fill(out, out + num_targets, 0.0f);
+  for (const int s : segment) out[s] += 1.0f;
+  for (int i = 0; i < num_targets; ++i)
+    out[i] = out[i] > 0 ? 1.0f / out[i] : 0.0f;
+}
+
+/// out (rows x 1) = a w1 + b w2: the Eq. 5/6 additive-attention logits as
+/// the recorded add(matmul, matmul) computes them.
+void attention_logits(const float* a, const float* b, const Var& w1,
+                      const Var& w2, int rows, int dim, float* out,
+                      nn::Scratch& s) {
+  float* bw = s.zeros(static_cast<std::size_t>(rows));
+  std::fill(out, out + rows, 0.0f);
+  nn::kernels::matmul_rows(a, dim, w1->value.data(), 1, out, 1, 0, rows, dim, 1);
+  nn::kernels::matmul_rows(b, dim, w2->value.data(), 1, bw, 1, 0, rows, dim, 1);
+  nn::kernels::add(out, out, bw, static_cast<std::size_t>(rows));
+}
+
+}  // namespace
 
 const char* aggregator_name(AggregatorKind k) {
   switch (k) {
@@ -49,9 +78,7 @@ Var Aggregator::aggregate(Graph& g, const Var& hv_prev_targets,
       const Var lin = conv_w_.apply(g, hu);
       const Var summed = g.segment_sum(lin, segment, num_targets);
       Tensor inv_deg(num_targets, 1);
-      for (const int s : segment) inv_deg.at(s, 0) += 1.0f;
-      for (int i = 0; i < num_targets; ++i)
-        inv_deg.at(i, 0) = inv_deg.at(i, 0) > 0 ? 1.0f / inv_deg.at(i, 0) : 0.0f;
+      inverse_degree(segment, num_targets, inv_deg.data());
       return g.mul_col(summed, g.constant(std::move(inv_deg)));
     }
     case AggregatorKind::kAttention: {
@@ -79,6 +106,67 @@ Var Aggregator::aggregate(Graph& g, const Var& hv_prev_targets,
     }
   }
   throw Error("Aggregator::aggregate: unknown kind");
+}
+
+void Aggregator::infer(const float* hv_prev_targets, const float* hv_prev_edges,
+                       const float* hu, const std::vector<int>& segment,
+                       int num_targets, float* out, nn::Scratch& s) const {
+  const int edges = static_cast<int>(segment.size());
+  const std::size_t d = static_cast<std::size_t>(dim_);
+  const std::size_t target_elems = static_cast<std::size_t>(num_targets) * d;
+  const std::size_t edge_elems = static_cast<std::size_t>(edges) * d;
+  const auto segment_sum = [&](const float* values, float* dst) {
+    std::fill(dst, dst + target_elems, 0.0f);
+    nn::kernels::segment_sum(dst, values, segment.data(),
+                             static_cast<std::size_t>(edges), d, 0, d);
+  };
+  switch (kind_) {
+    case AggregatorKind::kConvSum: {
+      float* lin = s.take(edge_elems);
+      conv_w_.infer(hu, edges, lin);
+      float* summed = s.take(target_elems);
+      segment_sum(lin, summed);
+      float* inv_deg = s.take(static_cast<std::size_t>(num_targets));
+      inverse_degree(segment, num_targets, inv_deg);
+      nn::kernels::mul_col(out, summed, inv_deg,
+                           static_cast<std::size_t>(num_targets), d);
+      return;
+    }
+    case AggregatorKind::kAttention:
+    case AggregatorKind::kDualAttention: {
+      // Eq. 5: m_LG = sum_u alpha_uv h_u.
+      float* scores = s.take(static_cast<std::size_t>(edges));
+      attention_logits(hv_prev_edges, hu, att_w1_, att_w2_, edges, dim_,
+                       scores, s);
+      float* alpha = s.take(static_cast<std::size_t>(edges));
+      nn::kernels::segment_softmax(alpha, scores, segment.data(),
+                                   static_cast<std::size_t>(edges),
+                                   num_targets);
+      float* weighted = s.take(edge_elems);
+      nn::kernels::mul_col(weighted, hu, alpha,
+                           static_cast<std::size_t>(edges), d);
+      if (kind_ == AggregatorKind::kAttention) {
+        segment_sum(weighted, out);
+        return;
+      }
+      float* m_lg = s.take(target_elems);
+      segment_sum(weighted, m_lg);
+      // Eq. 6 gate, then Eq. 7: out = m_TR || m_LG.
+      float* gate = s.take(static_cast<std::size_t>(num_targets));
+      attention_logits(hv_prev_targets, m_lg, gate_w1_, gate_w2_, num_targets,
+                       dim_, gate, s);
+      nn::kernels::sigmoid(gate, gate, static_cast<std::size_t>(num_targets));
+      float* m_tr = s.take(target_elems);
+      nn::kernels::mul_col(m_tr, m_lg, gate,
+                           static_cast<std::size_t>(num_targets), d);
+      for (std::size_t i = 0; i < static_cast<std::size_t>(num_targets); ++i) {
+        std::copy_n(m_tr + i * d, d, out + i * 2 * d);
+        std::copy_n(m_lg + i * d, d, out + i * 2 * d + d);
+      }
+      return;
+    }
+  }
+  throw Error("Aggregator::infer: unknown kind");
 }
 
 void Aggregator::collect_params(nn::NamedParams& out) const {

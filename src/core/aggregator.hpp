@@ -39,6 +39,14 @@ class Aggregator {
                     const nn::Var& hv_prev_edges, const nn::Var& hu,
                     const std::vector<int>& segment, int num_targets) const;
 
+  /// Inference twin of aggregate(): the same formula over raw level rows
+  /// (row-major, hidden_dim wide) into `out` (num_targets x message_dim()),
+  /// kernel for kernel, so the message is bit-identical to the recorded
+  /// ops. Temporaries come from `s`.
+  void infer(const float* hv_prev_targets, const float* hv_prev_edges,
+             const float* hu, const std::vector<int>& segment,
+             int num_targets, float* out, nn::Scratch& s) const;
+
   void collect_params(nn::NamedParams& out) const;
 
  private:

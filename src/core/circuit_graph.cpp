@@ -121,7 +121,61 @@ CircuitGraph build_circuit_graph(const Circuit& c) {
     for (NodeId u : av.fanins[v]) av_fanouts[u].push_back(v);
   g.baseline_reverse = reverse_batches(av.levels, av_fanouts, non_pi);
 
+  validate_circuit_graph(g);
   return g;
+}
+
+void validate_circuit_graph(const CircuitGraph& g) {
+  const auto fail = [](const std::string& what) {
+    throw Error("CircuitGraph: " + what);
+  };
+  const auto check_nodes = [&](const std::vector<NodeId>& nodes,
+                               const std::string& what) {
+    for (NodeId v : nodes)
+      if (v >= static_cast<NodeId>(g.num_nodes))
+        fail(what + " node " + std::to_string(v) + " out of range [0, " +
+             std::to_string(g.num_nodes) + ")");
+  };
+  if (g.num_nodes < 0) fail("negative node count");
+  if (g.features.rows() != g.num_nodes || g.features.cols() != kFeatureDim)
+    fail("features are " + g.features.shape_string() + ", expected " +
+         std::to_string(g.num_nodes) + "x" + std::to_string(kFeatureDim));
+  check_nodes(g.pis, "PI");
+  check_nodes(g.consts, "constant");
+  if (g.ff_targets.size() != g.ff_sources.size())
+    fail("ff_targets/ff_sources size mismatch");
+  check_nodes(g.ff_targets, "FF target");
+  check_nodes(g.ff_sources, "FF source");
+
+  // Stamp of the last level that claimed each node as a target.
+  std::vector<std::size_t> claimed(static_cast<std::size_t>(g.num_nodes), 0);
+  std::size_t stamp = 0;
+  const std::pair<const std::vector<LevelBatch>*, const char*> schedules[] = {
+      {&g.comb_forward, "comb_forward"},
+      {&g.comb_reverse, "comb_reverse"},
+      {&g.baseline_forward, "baseline_forward"},
+      {&g.baseline_reverse, "baseline_reverse"}};
+  for (const auto& [levels, name] : schedules) {
+    for (std::size_t l = 0; l < levels->size(); ++l) {
+      const LevelBatch& b = (*levels)[l];
+      const std::string where =
+          std::string(name) + " level " + std::to_string(l) + ": ";
+      check_nodes(b.targets, where + "target");
+      check_nodes(b.sources, where + "source");
+      if (b.segment.size() != b.sources.size())
+        fail(where + "segment/sources size mismatch");
+      for (const int seg : b.segment)
+        if (seg < 0 || seg >= static_cast<int>(b.targets.size()))
+          fail(where + "segment index " + std::to_string(seg) +
+               " out of range [0, " + std::to_string(b.targets.size()) + ")");
+      ++stamp;
+      for (NodeId v : b.targets) {
+        if (claimed[v] == stamp)
+          fail(where + "target " + std::to_string(v) + " repeated");
+        claimed[v] = stamp;
+      }
+    }
+  }
 }
 
 }  // namespace deepseq

@@ -59,6 +59,16 @@ struct CircuitGraph {
 /// Build the graph for a strict sequential AIG. Throws CircuitError if the
 /// circuit contains gate types outside {PI, AND, NOT, FF, CONST0};
 /// constant-0 nodes are treated as pseudo-PIs pinned to probability 0.
+/// The result has passed validate_circuit_graph.
 CircuitGraph build_circuit_graph(const Circuit& aig);
+
+/// The index contract the fused inference pass relies on when it reads and
+/// writes state rows directly: features is num_nodes x kFeatureDim; every
+/// PI, constant, target, source and FF index is a node in [0, num_nodes);
+/// sources and segment have equal length with every segment entry naming a
+/// target of its level; no level repeats a target; ff_targets and
+/// ff_sources pair up. Throws deepseq::Error naming the first violation.
+/// Checked once per structure (at build), not per embed.
+void validate_circuit_graph(const CircuitGraph& g);
 
 }  // namespace deepseq

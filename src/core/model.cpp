@@ -1,9 +1,12 @@
 #include "core/model.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/error.hpp"
 #include "netlist/structural_hash.hpp"
+#include "nn/executor.hpp"
+#include "nn/kernels.hpp"
 #include "nn/serialize.hpp"
 
 namespace deepseq {
@@ -142,54 +145,52 @@ void run_level(Graph& g, const LevelBatch& batch, const Aggregator& agg,
     state[batch.targets[i]] = RowRef{h_new, i};
 }
 
-/// Slab-mode level update (inference): node states are rows of one
-/// plan-owned slab, addressed through the current version marker. The three
-/// gathers read slab rows directly — the planner rewrites them to the base
-/// tensor, so they fuse into their consumer chains instead of escaping into
-/// per-level matrices — and the updated rows scatter back in place,
-/// consuming the version. Returns the next version.
-Var run_level_slab(Graph& g, const LevelBatch& batch, const Aggregator& agg,
-                   const nn::GruCell& gru, const Var& features,
-                   const Var& version) {
-  nn::BatchScope level_scope(g);
+/// Fused level update (inference): copy the level's operand rows out of the
+/// N x d state into scratch, run Aggregator::infer and GruCell::infer —
+/// run_level's formula, kernel for kernel — and write the new target rows
+/// back. Every operand is read before any row is written, as in run_level.
+/// Returns the number of state rows read.
+int infer_level(const LevelBatch& batch, const Aggregator& agg,
+                const nn::GruCell& gru, const Tensor& features, Tensor& state,
+                nn::Scratch& s) {
+  s.reset();
+  const std::size_t d = static_cast<std::size_t>(state.cols());
   const int num_targets = static_cast<int>(batch.targets.size());
-  std::vector<RowRef> target_refs, edge_target_refs, source_refs, feat_refs;
-  target_refs.reserve(batch.targets.size());
-  feat_refs.reserve(batch.targets.size());
-  for (NodeId v : batch.targets) {
-    target_refs.push_back(RowRef{version, static_cast<int>(v)});
-    feat_refs.push_back(RowRef{features, static_cast<int>(v)});
-  }
-  edge_target_refs.reserve(batch.sources.size());
-  source_refs.reserve(batch.sources.size());
-  for (std::size_t e = 0; e < batch.sources.size(); ++e) {
-    edge_target_refs.push_back(RowRef{
-        version, static_cast<int>(batch.targets[batch.segment[e]])});
-    source_refs.push_back(RowRef{version, static_cast<int>(batch.sources[e])});
-  }
+  const int num_edges = static_cast<int>(batch.sources.size());
+  const auto rows_of = [&](int count, auto&& node_of) {
+    float* rows = s.take(static_cast<std::size_t>(count) * d);
+    for (int i = 0; i < count; ++i)
+      std::copy_n(state.row(static_cast<int>(node_of(i))), d, rows + i * d);
+    return rows;
+  };
+  const float* hv_prev =
+      rows_of(num_targets, [&](int i) { return batch.targets[i]; });
+  const float* hv_prev_edges = rows_of(
+      num_edges, [&](int e) { return batch.targets[batch.segment[e]]; });
+  const float* hu = rows_of(num_edges, [&](int e) { return batch.sources[e]; });
 
-  const Var hv_prev = g.gather(target_refs);
-  const Var hv_prev_edges = g.gather(edge_target_refs);
-  const Var hu = g.gather(source_refs);
-  const Var m = agg.aggregate(g, hv_prev, hv_prev_edges, hu, batch.segment,
-                              num_targets);
-  const Var x = g.concat_cols({m, g.gather(feat_refs)});
-  const Var h_new = gru.apply(g, x, hv_prev);
-  std::vector<int> targets;
-  targets.reserve(batch.targets.size());
-  for (NodeId v : batch.targets) targets.push_back(static_cast<int>(v));
-  return g.scatter_rows(version, h_new, targets);
+  const std::size_t m_dim = static_cast<std::size_t>(agg.message_dim());
+  float* m = s.take(static_cast<std::size_t>(num_targets) * m_dim);
+  agg.infer(hv_prev, hv_prev_edges, hu, batch.segment, num_targets, m, s);
+  // x = m || features, the recorded concat_cols.
+  const std::size_t in_dim = m_dim + kFeatureDim;
+  float* x = s.take(static_cast<std::size_t>(num_targets) * in_dim);
+  for (int i = 0; i < num_targets; ++i) {
+    std::copy_n(m + i * m_dim, m_dim, x + i * in_dim);
+    std::copy_n(features.row(static_cast<int>(batch.targets[i])), kFeatureDim,
+                x + i * in_dim + m_dim);
+  }
+  float* h_new = s.take(static_cast<std::size_t>(num_targets) * d);
+  gru.infer(x, hv_prev, num_targets, h_new, s);
+  for (int i = 0; i < num_targets; ++i)
+    std::copy_n(h_new + i * d, d, state.row(static_cast<int>(batch.targets[i])));
+  return num_targets + 2 * num_edges;
 }
 
-}  // namespace
-
-namespace {
-
-/// Levels recorded per planner flush. Grouping levels amortizes the
-/// executor's helper-enlisting cost and lets the chain planner fuse within
-/// and across levels of one group (independent chains of different levels
-/// schedule concurrently as coarse tasks), while bounding how many
-/// unexecuted intermediates a no-grad pass holds at once. The planner sees
+/// Levels recorded per planner flush (grad mode). Grouping levels amortizes
+/// the executor's helper-enlisting cost and lets the chain planner fuse
+/// within and across levels of one group (independent chains of different
+/// levels schedule concurrently as coarse tasks). The planner sees
 /// the cross-level dependencies, so grouping never reorders computation.
 /// Retuned for chain granularity: fusion cut barriers per level by ~an
 /// order of magnitude, so doubling the group (32 -> 64) halves the
@@ -210,28 +211,32 @@ void run_sweep(Graph& g, const std::vector<LevelBatch>& levels,
   }
 }
 
-/// Slab-mode sweep: threads the version marker through the levels of each
-/// flush group. Same grouping, same cross-level dependencies — the version
-/// chain just replaces the per-level state matrices.
-Var run_sweep_slab(Graph& g, const std::vector<LevelBatch>& levels,
-                   const Aggregator& agg, const nn::GruCell& gru,
-                   const Var& features, Var version) {
-  std::size_t i = 0;
-  while (i < levels.size()) {
-    nn::BatchScope group(g);
-    const std::size_t end =
-        std::min(levels.size(), i + static_cast<std::size_t>(kLevelsPerFlush));
-    for (; i < end; ++i)
-      version = run_level_slab(g, levels[i], agg, gru, features, version);
-  }
-  return version;
+/// Fused sweep: every level in order on the calling thread. Under an
+/// active ExecTraceScope the sweep reports as one flush whose steps are its
+/// levels (see nn::ExecStats).
+void infer_sweep(const std::vector<LevelBatch>& levels, const Aggregator& agg,
+                 const nn::GruCell& gru, const Tensor& features, Tensor& state,
+                 nn::Scratch& s) {
+  using Clock = std::chrono::steady_clock;
+  nn::ExecStats* trace = nn::ExecTraceScope::active();
+  const Clock::time_point start =
+      trace != nullptr ? Clock::now() : Clock::time_point{};
+  int rows = 0;
+  for (const LevelBatch& batch : levels)
+    rows += infer_level(batch, agg, gru, features, state, s);
+  if (trace == nullptr) return;
+  trace->slab_gather_rows += rows;
+  trace->flushes += 1;
+  trace->steps += static_cast<int>(levels.size());
+  trace->simd_lanes = nn::kernels::lanes();
+  trace->flush_ms.push_back(
+      std::chrono::duration<double, std::milli>(Clock::now() - start).count());
 }
 
 }  // namespace
 
 Var DeepSeqModel::propagate(Graph& g, const CircuitGraph& graph,
                             const Workload& w, std::uint64_t init_seed) const {
-  const Var features = g.constant(graph.features);
   Tensor h0_states = initial_states(graph, w, config_.hidden_dim, init_seed);
 
   const bool custom = config_.propagation == PropagationKind::kDeepSeqCustom;
@@ -239,38 +244,37 @@ Var DeepSeqModel::propagate(Graph& g, const CircuitGraph& graph,
   const auto& rev = custom ? graph.comb_reverse : graph.baseline_reverse;
 
   if (!g.grad_enabled()) {
-    // Slab path (inference): every node's state is a row of one slab
-    // tensor, updated in place through the consume-exactly-once version
-    // chain. Gathers read the slab directly (no per-level state matrices to
-    // escape into), so flush groups fuse into long chains and the final
-    // readout is a single N-row gather. Bit-identical to the matrix path:
-    // the same kernels run in the same order over the same rows.
-    Var version = g.slab(std::move(h0_states));
+    // Fused inference: every node's state is a row of one N x d tensor,
+    // updated level by level over scratch rows. No ops are recorded, so
+    // nothing is planned or scheduled; the same kernels run in the same
+    // per-element order as the recorded path below, so the embedding is
+    // bit-identical to it (tests/core/test_fused_propagation.cpp).
+    nn::kernels::refresh_from_env();
+    Tensor state = std::move(h0_states);
+    nn::Scratch scratch;
     for (int t = 0; t < config_.iterations; ++t) {
-      version = run_sweep_slab(g, fwd, agg_fwd_, gru_fwd_, features, version);
-      version = run_sweep_slab(g, rev, agg_rev_, gru_rev_, features, version);
+      infer_sweep(fwd, agg_fwd_, gru_fwd_, graph.features, state, scratch);
+      infer_sweep(rev, agg_rev_, gru_rev_, graph.features, state, scratch);
       if (custom && !graph.ff_targets.empty()) {
         // Step 4 (Fig. 2): FFs take their D predecessor's representation.
-        // The gather executes before the scatter overwrites, so FF->FF
-        // chains shift correctly (same two-phase rule as the matrix path).
-        std::vector<RowRef> src;
-        src.reserve(graph.ff_sources.size());
-        for (NodeId u : graph.ff_sources)
-          src.push_back(RowRef{version, static_cast<int>(u)});
-        const Var vals = g.gather(src);
-        std::vector<int> tgts;
-        tgts.reserve(graph.ff_targets.size());
-        for (NodeId v : graph.ff_targets) tgts.push_back(static_cast<int>(v));
-        version = g.scatter_rows(version, vals, tgts);
+        // Two-phase copy so FF->FF chains shift correctly.
+        scratch.reset();
+        const std::size_t d = static_cast<std::size_t>(state.cols());
+        float* next = scratch.take(graph.ff_sources.size() * d);
+        for (std::size_t k = 0; k < graph.ff_sources.size(); ++k)
+          std::copy_n(state.row(static_cast<int>(graph.ff_sources[k])), d,
+                      next + k * d);
+        for (std::size_t k = 0; k < graph.ff_targets.size(); ++k)
+          std::copy_n(next + k * d, d,
+                      state.row(static_cast<int>(graph.ff_targets[k])));
+        if (nn::ExecStats* trace = nn::ExecTraceScope::active())
+          trace->slab_gather_rows += static_cast<int>(graph.ff_sources.size());
       }
     }
-    std::vector<RowRef> all;
-    all.reserve(static_cast<std::size_t>(graph.num_nodes));
-    for (int v = 0; v < graph.num_nodes; ++v)
-      all.push_back(RowRef{version, v});
-    return g.gather(all);
+    return g.constant(std::move(state));
   }
 
+  const Var features = g.constant(graph.features);
   const Var h0 = g.constant(std::move(h0_states));
   std::vector<RowRef> state(static_cast<std::size_t>(graph.num_nodes));
   for (int v = 0; v < graph.num_nodes; ++v) state[v] = RowRef{h0, v};

@@ -52,11 +52,11 @@ void fwd_elementwise(const Op& op, int b, int e) {
     case OpKind::kScale:
       kernels::scale(o, x, op.scalar, count);
       break;
-    case OpKind::kSigmoid:  // scalar libm by design: exp has no exact vector twin
-      for (std::size_t i = 0; i < count; ++i) o[i] = 1.0f / (1.0f + std::exp(-x[i]));
+    case OpKind::kSigmoid:
+      kernels::sigmoid(o, x, count);
       break;
     case OpKind::kTanh:
-      for (std::size_t i = 0; i < count; ++i) o[i] = std::tanh(x[i]);
+      kernels::tanh_(o, x, count);
       break;
     case OpKind::kRelu:
       kernels::relu(o, x, count);
@@ -71,10 +71,9 @@ void fwd_elementwise(const Op& op, int b, int e) {
 
 void fwd_add_row(const Op& op, int b, int e) {
   Tensor& out = op.out->value;
-  const Tensor& a = op.inputs[0]->value;
-  const float* row = op.inputs[1]->value.row(0);
-  const int cols = out.cols();
-  for (int r = b; r < e; ++r) kernels::add(out.row(r), a.row(r), row, cols);
+  kernels::add_row(out.row(b), op.inputs[0]->value.row(b),
+                   op.inputs[1]->value.row(0), static_cast<std::size_t>(e - b),
+                   static_cast<std::size_t>(out.cols()));
 }
 
 void fwd_matmul(const Op& op, int b, int e) {
@@ -87,11 +86,9 @@ void fwd_matmul(const Op& op, int b, int e) {
 
 void fwd_mul_col(const Op& op, int b, int e) {
   Tensor& out = op.out->value;
-  const Tensor& v = op.inputs[0]->value;
-  const Tensor& col = op.inputs[1]->value;
-  const int cols = out.cols();
-  for (int r = b; r < e; ++r)
-    kernels::scale(out.row(r), v.row(r), col.at(r, 0), cols);
+  kernels::mul_col(out.row(b), op.inputs[0]->value.row(b),
+                   op.inputs[1]->value.row(b), static_cast<std::size_t>(e - b),
+                   static_cast<std::size_t>(out.cols()));
 }
 
 void fwd_concat_cols(const Op& op, int b, int e) {
@@ -114,31 +111,13 @@ void fwd_gather(const Op& op, int b, int e) {
   }
 }
 
-// Copy values rows [b, e) into their slab target rows. Targets are distinct
-// (checked at record), so row slices of one scatter write disjoint slab rows;
-// readers of the overwritten rows are ordered before the scatter by the
-// plan's dependency edges.
-void fwd_scatter_rows(const Op& op, int b, int e) {
-  const Tensor& values = op.inputs[0]->value;
-  const Var& version = op.inputs[1];
-  Tensor& base = (version->slab_base != nullptr ? version->slab_base.get()
-                                                : version.get())
-                     ->value;
-  const int cols = values.cols();
-  for (int i = b; i < e; ++i)
-    std::copy(values.row(i), values.row(i) + cols,
-              base.row(op.segment[static_cast<std::size_t>(i)]));
-}
-
 // Column range [b, e): output rows are scatter targets, columns independent.
 void fwd_segment_sum(const Op& op, int b, int e) {
-  Tensor& out = op.out->value;
   const Tensor& v = op.inputs[0]->value;
-  for (int row = 0; row < v.rows(); ++row) {
-    float* dst = out.row(op.segment[static_cast<std::size_t>(row)]);
-    const float* src = v.row(row);
-    for (int c = b; c < e; ++c) dst[c] += src[c];
-  }
+  kernels::segment_sum(op.out->value.data(), v.data(), op.segment.data(),
+                       static_cast<std::size_t>(v.rows()),
+                       static_cast<std::size_t>(v.cols()),
+                       static_cast<std::size_t>(b), static_cast<std::size_t>(e));
 }
 
 void fwd_segment_max(Op& op, int b, int e) {
@@ -160,20 +139,11 @@ void fwd_segment_max(Op& op, int b, int e) {
 }
 
 void fwd_segment_softmax(const Op& op) {
-  Tensor& out = op.out->value;
   const Tensor& scores = op.inputs[0]->value;
-  const int e_count = scores.rows();
-  std::vector<float> seg_max(static_cast<std::size_t>(op.num_segments), -1e30f);
-  for (int e = 0; e < e_count; ++e)
-    seg_max[op.segment[e]] = std::max(seg_max[op.segment[e]], scores.at(e, 0));
-  std::vector<double> seg_sum(static_cast<std::size_t>(op.num_segments), 0.0);
-  for (int e = 0; e < e_count; ++e) {
-    const float x = std::exp(scores.at(e, 0) - seg_max[op.segment[e]]);
-    out.at(e, 0) = x;
-    seg_sum[op.segment[e]] += x;
-  }
-  for (int e = 0; e < e_count; ++e)
-    out.at(e, 0) = static_cast<float>(out.at(e, 0) / seg_sum[op.segment[e]]);
+  kernels::segment_softmax(op.out->value.data(), scores.data(),
+                           op.segment.data(),
+                           static_cast<std::size_t>(scores.rows()),
+                           op.num_segments);
 }
 
 void fwd_l1_loss(Op& op) {
@@ -235,7 +205,6 @@ void forward_kernel(const Chunk& chunk) {
     case OpKind::kMulCol: fwd_mul_col(op, chunk.begin, chunk.end); break;
     case OpKind::kConcatCols: fwd_concat_cols(op, chunk.begin, chunk.end); break;
     case OpKind::kGather: fwd_gather(op, chunk.begin, chunk.end); break;
-    case OpKind::kScatterRows: fwd_scatter_rows(op, chunk.begin, chunk.end); break;
     case OpKind::kSegmentSum: fwd_segment_sum(op, chunk.begin, chunk.end); break;
     case OpKind::kSegmentMax: fwd_segment_max(op, chunk.begin, chunk.end); break;
     case OpKind::kSegmentSoftmax: fwd_segment_softmax(op); break;
@@ -312,9 +281,6 @@ std::vector<BwPart> backward_parts(const Op& op) {
     case OpKind::kSegmentSoftmax:
       parts.push_back({0, 0, static_cast<std::uint64_t>(out.size())});
       break;
-    case OpKind::kScatterRows:
-      break;  // slabs are inference-only: no gradients ever flow
-
     case OpKind::kSegmentSum:
       if (grad_needed(0))
         parts.push_back({0, op.inputs[0]->value.rows(),
@@ -835,9 +801,6 @@ void Executor::run(Plan plan) {
   g_trace->chains += static_cast<int>(plan.stats().chains);
   g_trace->fused_ops += static_cast<int>(plan.stats().fused_ops);
   g_trace->steps += static_cast<int>(plan.step_count());
-  g_trace->slab_gather_rows += static_cast<int>(plan.stats().slab_gather_rows);
-  g_trace->slab_scatter_rows +=
-      static_cast<int>(plan.stats().slab_scatter_rows);
   g_trace->simd_lanes = kernels::lanes();
   // Scheduler-structural counters: what the dependency-counted schedule
   // pays for this plan, regardless of core count (the inline path executes
@@ -934,5 +897,7 @@ ExecTraceScope::ExecTraceScope(ExecStats& stats) : prev_(g_trace) {
 }
 
 ExecTraceScope::~ExecTraceScope() { g_trace = prev_; }
+
+ExecStats* ExecTraceScope::active() { return g_trace; }
 
 }  // namespace deepseq::nn

@@ -24,10 +24,16 @@ int nn_threads_from_env(int fallback);
 /// `chains`/`chain_len_hist`/`global_syncs`/`released_chains` are
 /// structural properties of the built plans — independent of how many
 /// cores actually ran them.
+///
+/// The fused no-grad DeepSeq pass (DeepSeqModel::embed) records no ops and
+/// builds no plans, so it reports through the same fields: one `flushes` /
+/// `flush_ms` entry per level sweep, one `steps` per level, its state-row
+/// reads in `slab_gather_rows` and `simd_lanes`; the planner and scheduler
+/// counters stay 0.
 struct ExecStats {
   int flushes = 0;
   int chains = 0;     // chain clusters planned (fused chains + singletons)
-  int steps = 0;      // kernel steps executed
+  int steps = 0;      // kernel steps executed (fused pass: levels)
   int fused_ops = 0;  // ops that rode inside a multi-op chain
   /// Plans (forward flushes and backward runs) that enlisted pool helpers
   /// instead of running inline.
@@ -38,9 +44,11 @@ struct ExecStats {
   /// Chain tasks released straight to the claim queue by a finishing
   /// producer (the rest are runnable at flush start).
   int released_chains = 0;
-  int slab_gather_rows = 0;   // gather rows served from a state slab
-  int slab_scatter_rows = 0;  // rows scattered into a state slab
-  int simd_lanes = 1;         // kernel lane width of the last flush (8 = AVX2)
+  /// Node-state rows the fused inference pass copied out of its N x d
+  /// state tensor (level operands and the flip-flop step). The name
+  /// predates the fused pass and is kept for readers of the counter.
+  int slab_gather_rows = 0;
+  int simd_lanes = 1;  // kernel lane width of the last flush (8 = AVX2)
   std::array<int, kChainHistBuckets> chain_len_hist{};  // chains by length
   std::vector<double> flush_ms;  // one entry per Graph::flush, in call order
 };
@@ -131,11 +139,14 @@ class ExecutorScope {
   Executor* prev_;
 };
 
-/// RAII per-flush stats collection on the calling thread (benches only).
+/// RAII per-flush stats collection on the calling thread (benches and
+/// traced serving).
 class ExecTraceScope {
  public:
   explicit ExecTraceScope(ExecStats& stats);
   ~ExecTraceScope();
+  /// The calling thread's innermost active stats, or null when untraced.
+  static ExecStats* active();
   ExecTraceScope(const ExecTraceScope&) = delete;
   ExecTraceScope& operator=(const ExecTraceScope&) = delete;
 

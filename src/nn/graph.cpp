@@ -78,9 +78,6 @@ void Graph::flush() {
   for (Op* op : pending_)
     if (op->out->producer != op) recycle(op);
   pending_.clear();
-  // Reader bookkeeping only orders ops within one planned batch; anything
-  // still registered has executed and can't race a future scatter.
-  slab_readers_.clear();
 }
 
 void Graph::recycle(Op* op) {
@@ -91,7 +88,6 @@ void Graph::recycle(Op* op) {
   op->argmax.clear();
   op->num_segments = 0;
   op->scalar = 0.0f;
-  op->slab_rows = 0;
   if (op->attr_a.size() != 0) op->attr_a = Tensor();
   if (op->attr_b.size() != 0) op->attr_b = Tensor();
   if (op->saved.size() != 0) op->saved = Tensor();
@@ -198,114 +194,20 @@ Var Graph::concat_cols(const std::vector<Var>& blocks) {
   return record(Tensor(rows, cols), op);
 }
 
-namespace {
-
-///// The tensor-owning node behind a RowRef / slab version: the slab base for
-/// version markers, the node itself otherwise.
-VarNode* storage_of(const Var& v) {
-  return v->slab_base != nullptr ? v->slab_base.get() : v.get();
-}
-
-}  // namespace
-
 Var Graph::gather(const std::vector<RowRef>& refs) {
   if (refs.empty()) throw ShapeError("gather: no rows");
-  const int cols = storage_of(refs[0].var)->value.cols();
-  bool any_slab = false;
+  const int cols = refs[0].var->value.cols();
   for (const auto& r : refs) {
-    const VarNode* src = storage_of(r.var);
-    if (src->value.cols() != cols) throw ShapeError("gather: column mismatch");
-    if (r.row < 0 || r.row >= src->value.rows())
+    if (r.var->value.cols() != cols) throw ShapeError("gather: column mismatch");
+    if (r.row < 0 || r.row >= r.var->value.rows())
       throw ShapeError("gather: row index out of range");
-    if (r.var->slab) {
-      if (r.var->slab_consumed)
-        throw Error("gather: slab version already consumed by scatter_rows");
-      any_slab = true;
-    }
   }
   auto op = acquire_op(OpKind::kGather);
   op->refs = refs;
-  {
-    std::unordered_set<VarNode*> seen;
-    for (const auto& r : refs)
-      if (seen.insert(r.var.get()).second) op->inputs.push_back(r.var);
-  }
-  if (any_slab) {
-    // Rewrite slab-version rows to read the base tensor directly — the
-    // executor's gather kernel stays a plain row copy — while the version
-    // Var remains an op input, giving the planner the write-before-read
-    // edge. Count the rewritten rows for PlanStats.
-    for (auto& r : op->refs) {
-      if (!r.var->slab) continue;
-      ++op->slab_rows;
-      if (r.var->slab_base != nullptr) r.var = r.var->slab_base;
-    }
-  }
-  Var out = record(Tensor(static_cast<int>(refs.size()), cols), op);
-  if (any_slab) {
-    // Register this gather as a reader of every distinct version it touched
-    // so a later scatter_rows on that version is ordered after it.
-    std::unordered_set<VarNode*> seen;
-    for (const auto& r : refs)
-      if (r.var->slab && seen.insert(r.var.get()).second)
-        slab_readers_.emplace_back(r.var.get(), out);
-  }
-  return out;
-}
-
-Var Graph::slab(Tensor init) {
-  Var v = make_constant(std::move(init));
-  v->slab = true;
-  return v;
-}
-
-Var Graph::scatter_rows(const Var& version, const Var& values,
-                        const std::vector<int>& rows) {
-  if (grad_enabled_)
-    throw Error("scatter_rows: slabs are inference-only (grad-enabled graph)");
-  if (!version->slab) throw Error("scatter_rows: not a slab version");
-  if (version->slab_consumed)
-    throw Error("scatter_rows: slab version already consumed");
-  VarNode* base = storage_of(version);
-  if (values->value.cols() != base->value.cols())
-    throw ShapeError("scatter_rows: column mismatch " +
-                     values->value.shape_string() + " into " +
-                     base->value.shape_string());
-  if (static_cast<int>(rows.size()) != values->value.rows())
-    throw ShapeError("scatter_rows: row count mismatch");
-  {
-    // Distinct targets are what make row-split execution safe; levels are
-    // small, so an O(n log n) check is cheap insurance.
-    std::vector<int> sorted(rows);
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-      if (sorted[i] < 0 || sorted[i] >= base->value.rows())
-        throw ShapeError("scatter_rows: row index out of range");
-      if (i > 0 && sorted[i] == sorted[i - 1])
-        throw ShapeError("scatter_rows: duplicate target row");
-    }
-  }
-  version->slab_consumed = true;
-  auto op = acquire_op(OpKind::kScatterRows);
-  op->inputs = {values, version};
-  // Order every recorded reader of the consumed version before this
-  // overwrite, then retire their entries — the version is dead.
-  for (std::size_t i = 0; i < slab_readers_.size();) {
-    if (slab_readers_[i].first == version.get()) {
-      if (slab_readers_[i].second.get() != values.get())
-        op->inputs.push_back(slab_readers_[i].second);
-      slab_readers_[i] = std::move(slab_readers_.back());
-      slab_readers_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-  op->segment = rows;
-  op->slab_rows = static_cast<std::uint32_t>(rows.size());
-  Var out = record(Tensor(), op);
-  out->slab = true;
-  out->slab_base = version->slab_base != nullptr ? version->slab_base : version;
-  return out;
+  std::unordered_set<VarNode*> seen;
+  for (const auto& r : refs)
+    if (seen.insert(r.var.get()).second) op->inputs.push_back(r.var);
+  return record(Tensor(static_cast<int>(refs.size()), cols), op);
 }
 
 Var Graph::segment_softmax(const Var& scores, const std::vector<int>& segment,

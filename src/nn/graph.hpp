@@ -32,15 +32,6 @@ struct VarNode {
   /// written, so sharing them across concurrently-flushing graphs is safe.
   std::uint64_t plan_epoch = 0;
   int plan_wave = 0;
-  /// State-slab support (Graph::slab / Graph::scatter_rows). A slab is one
-  /// base node owning the storage plus a linear chain of *version* marker
-  /// nodes (empty `value`, `slab_base` pointing at the base). Versions are
-  /// consumed exactly once: the first scatter_rows on a version marks it
-  /// consumed and yields the next version; reading or scattering a consumed
-  /// version throws. The base itself has slab=true and a null slab_base.
-  bool slab = false;
-  bool slab_consumed = false;
-  std::shared_ptr<VarNode> slab_base;  // null for the base node itself
 
   bool has_grad() const { return grad.rows() == value.rows() && grad.cols() == value.cols() && grad.size() > 0; }
   Tensor& ensure_grad() {
@@ -75,7 +66,7 @@ struct RowRef {
 /// Outside a BatchScope every op is flushed as soon as it is recorded, so
 /// `var->value` is always materialized from the caller's point of view —
 /// eager semantics, with large kernels still chunked across the pool. Inside
-/// a BatchScope (the per-level propagation path) ops accumulate and are
+/// a BatchScope (grad-mode per-level propagation) ops accumulate and are
 /// planned together on scope exit, exposing parallelism across independent
 /// chains (rows of a level, levels of a flush group) as well as within
 /// large kernels.
@@ -112,29 +103,8 @@ class Graph {
   // ---- structure ops for level-batched message passing --------------------
   /// Horizontally concatenate equal-row-count blocks.
   Var concat_cols(const std::vector<Var>& blocks);
-  /// Stack arbitrary rows of arbitrary Vars into a new matrix. Rows of slab
-  /// *versions* (see slab()) are rewritten at record time to read the base
-  /// slab tensor directly — the version only contributes a scheduling edge —
-  /// so the gather fuses like any other row-aligned op instead of escaping
-  /// into a per-level state matrix.
+  /// Stack arbitrary rows of arbitrary Vars into a new matrix.
   Var gather(const std::vector<RowRef>& refs);
-
-  // ---- state slabs ---------------------------------------------------------
-  /// Create a state slab: one tensor holding every node's hidden-state row
-  /// for a whole propagation sweep, updated in place by scatter_rows. The
-  /// returned Var is both the base (owns the storage) and version 0.
-  /// Inference-only: slabs reuse storage across versions, which the tape
-  /// cannot replay, so a grad-enabled Graph refuses to scatter into one.
-  Var slab(Tensor init);
-  /// Overwrite rows of the slab behind `version` with the rows of `values`
-  /// (row i -> slab row rows[i]; rows must be distinct) and return the next
-  /// version. Consumes `version`: a second scatter, or a later gather of a
-  /// consumed version, throws — the consume-exactly-once discipline that
-  /// makes in-place updates safe under batched planning. Ordering against
-  /// in-flight readers of the old rows is recorded as op inputs, so the
-  /// planner sequences them before the overwrite.
-  Var scatter_rows(const Var& version, const Var& values,
-                   const std::vector<int>& rows);
   /// Per-segment softmax over a column of scores (E x 1). segment[e] in
   /// [0, num_segments); entries of a segment need not be contiguous.
   Var segment_softmax(const Var& scores, const std::vector<int>& segment,
@@ -198,12 +168,6 @@ class Graph {
 
   bool grad_enabled_;
   int batch_depth_ = 0;
-  /// Readers of each live slab version recorded this flush: scatter_rows
-  /// lists them as ordering inputs so no gather of the old rows can be
-  /// scheduled after the overwrite. Entries die with the version (consumed
-  /// by the next scatter) and any leftovers are dropped at flush — ordering
-  /// only matters between ops planned together.
-  std::vector<std::pair<VarNode*, Var>> slab_readers_;
   std::vector<Op*> pending_;   // recorded, not yet executed
   std::vector<Op*> tape_;      // retained for backward()
   std::vector<Op*> free_ops_;  // recycling pool

@@ -1,6 +1,9 @@
 #include "nn/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <vector>
 
 #include "common/env.hpp"
 
@@ -281,5 +284,53 @@ void matmul_rows(const float* a, int lda, const float* b, int ldb, float* out, i
 }
 
 #undef DEEPSEQ_DISPATCH
+
+// Transcendentals stay scalar libm by design: exp/tanh have no exact vector
+// twin.
+void sigmoid(float* o, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) o[i] = 1.0f / (1.0f + std::exp(-x[i]));
+}
+
+void tanh_(float* o, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) o[i] = std::tanh(x[i]);
+}
+
+void add_row(float* o, const float* a, const float* row, std::size_t rows,
+             std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) add(o + r * cols, a + r * cols, row, cols);
+}
+
+void mul_col(float* o, const float* v, const float* col, std::size_t rows,
+             std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) scale(o + r * cols, v + r * cols, col[r], cols);
+}
+
+void segment_sum(float* out, const float* v, const int* segment, std::size_t rows,
+                 std::size_t cols, std::size_t cb, std::size_t ce) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* dst = out + static_cast<std::size_t>(segment[r]) * cols;
+    const float* src = v + r * cols;
+    for (std::size_t c = cb; c < ce; ++c) dst[c] += src[c];
+  }
+}
+
+void segment_softmax(float* out, const float* scores, const int* segment, std::size_t count,
+                     int num_segments) {
+  // Per-thread scratch: levels are small and called once per level, so
+  // reusing the buffers keeps the fused path allocation-free.
+  thread_local std::vector<float> seg_max;
+  thread_local std::vector<double> seg_sum;
+  seg_max.assign(static_cast<std::size_t>(num_segments), -1e30f);
+  seg_sum.assign(static_cast<std::size_t>(num_segments), 0.0);
+  for (std::size_t e = 0; e < count; ++e)
+    seg_max[segment[e]] = std::max(seg_max[segment[e]], scores[e]);
+  for (std::size_t e = 0; e < count; ++e) {
+    const float x = std::exp(scores[e] - seg_max[segment[e]]);
+    out[e] = x;
+    seg_sum[segment[e]] += x;
+  }
+  for (std::size_t e = 0; e < count; ++e)
+    out[e] = static_cast<float>(out[e] / seg_sum[segment[e]]);
+}
 
 }  // namespace deepseq::nn::kernels

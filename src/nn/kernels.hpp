@@ -19,8 +19,9 @@ namespace deepseq::nn::kernels {
 ///
 /// Dispatch is runtime: the AVX2 path runs only when the host supports it
 /// AND DEEPSEQ_NN_SIMD (env_int, default 1) is nonzero. The executor
-/// refreshes the env gate once per flush (refresh_from_env), so a process
-/// can A/B simd on/off between runs.
+/// refreshes the env gate once per flush and the fused inference path once
+/// per embed (refresh_from_env), so a process can A/B simd on/off between
+/// runs.
 
 /// DEEPSEQ_NN_SIMD knob (env_int): 0 forces the scalar fallback;
 /// unset or any other value enables the vector path where supported.
@@ -57,9 +58,36 @@ void acc_scale(float* dst, const float* g, float s, std::size_t n);        // ds
 ///   out[i][j] += sum_p a[i][p] * b[p][j]
 /// accumulated per element in ascending p with the sequential kernel's
 /// zero-skip (a[i][p] == 0 contributes nothing, bit-for-bit). `lda`/`ldb`/
-/// `ldo` are row strides in floats. Accumulates into `out` (the planner
-/// zero-initializes matmul outputs at record time).
+/// `ldo` are row strides in floats. Accumulates into `out` (callers
+/// zero-initialize it: the record layer at record time, the fused inference
+/// path per level).
 void matmul_rows(const float* a, int lda, const float* b, int ldb, float* out,
                  int ldo, int rb, int re, int k, int n);
+
+// ---- row-structured formulas -----------------------------------------------
+//
+// The per-element loops behind the executor's sigmoid/tanh/add_row/mul_col/
+// segment ops. The executor calls them on its chunk slices and the fused
+// inference path (Aggregator::infer, GruCell::infer) on whole levels, so the
+// two paths share one implementation of every formula. Row-range slices of
+// a call compute exactly the elements of the full call, bit for bit.
+
+void sigmoid(float* o, const float* x, std::size_t n);  // 1 / (1 + exp(-x)), libm
+void tanh_(float* o, const float* x, std::size_t n);    // libm tanh
+/// o (rows x cols) = a + row, the 1 x cols row broadcast over rows.
+void add_row(float* o, const float* a, const float* row, std::size_t rows,
+             std::size_t cols);
+/// o (rows x cols) = v scaled per row by col[r].
+void mul_col(float* o, const float* v, const float* col, std::size_t rows,
+             std::size_t cols);
+/// out[segment[r]][c] += v[r][c] over rows r in ascending order, columns
+/// [cb, ce) of a `cols`-wide layout (out is num_segments x cols).
+void segment_sum(float* out, const float* v, const int* segment,
+                 std::size_t rows, std::size_t cols, std::size_t cb,
+                 std::size_t ce);
+/// Softmax of the `count` scores within each of `num_segments` segments
+/// (max-shifted exp, double-precision segment sums). Not splittable.
+void segment_softmax(float* out, const float* scores, const int* segment,
+                     std::size_t count, int num_segments);
 
 }  // namespace deepseq::nn::kernels

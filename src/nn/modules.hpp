@@ -11,6 +11,21 @@ namespace deepseq::nn {
 /// through this so the optimizer and (de)serialization see a flat list.
 using NamedParams = std::vector<std::pair<std::string, Var>>;
 
+/// Bump allocator for the inference twins (`infer`): float spans stay valid
+/// until reset(). Blocks never move, so earlier spans survive later
+/// requests, and reset() folds them into one block sized to the high-water
+/// mark — a steady-state pass over a circuit allocates nothing.
+class Scratch {
+ public:
+  float* take(std::size_t n);   // uninitialized
+  float* zeros(std::size_t n);  // zero-filled (matmul accumulators)
+  void reset();
+
+ private:
+  std::vector<std::vector<float>> blocks_;
+  std::size_t used_ = 0;  // floats handed out of blocks_.back()
+};
+
 /// Fully-connected layer: y = x W + b.
 class Linear {
  public:
@@ -18,6 +33,9 @@ class Linear {
   Linear(int in_dim, int out_dim, Rng& rng, std::string name = "linear");
 
   Var apply(Graph& g, const Var& x) const;
+  /// Inference twin of apply(): out (rows x out_dim) = x W + b with the
+  /// same kernels, bit-identical to the recorded ops.
+  void infer(const float* x, int rows, float* out) const;
 
   int in_dim() const { return in_dim_; }
   int out_dim() const { return out_dim_; }
@@ -60,6 +78,12 @@ class GruCell {
   GruCell(int in_dim, int hidden_dim, Rng& rng, std::string name = "gru");
 
   Var apply(Graph& g, const Var& x, const Var& h) const;
+  /// Inference twin of apply() over raw rows: x (rows x in_dim) and h
+  /// (rows x hidden_dim) in, h' (rows x hidden_dim) to `out`. Runs the
+  /// apply() formula kernel for kernel, so the result is bit-identical to
+  /// the recorded ops; temporaries come from `s`.
+  void infer(const float* x, const float* h, int rows, float* out,
+             Scratch& s) const;
 
   int in_dim() const { return in_dim_; }
   int hidden_dim() const { return hidden_dim_; }

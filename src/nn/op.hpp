@@ -26,14 +26,6 @@ enum class OpKind : std::uint8_t {
   kOneMinus,
   kConcatCols,
   kGather,
-  /// Copy rows of inputs[0] into the rows of a state slab named by
-  /// `segment` (row i of the values lands at slab row segment[i]). The
-  /// output Var is a slab *version* marker (empty tensor, slab_base set) —
-  /// the data lives in the base slab tensor. inputs[1] is the consumed
-  /// version (ordering + the base pointer); inputs[2..] are the version's
-  /// readers, recorded purely so the planner orders every gather of the old
-  /// rows before the overwrite.
-  kScatterRows,
   kSegmentSoftmax,
   kMulCol,
   kSegmentSum,
@@ -121,11 +113,6 @@ struct Op {
   std::vector<int> segment;  // segment ops: row -> segment; kSoftmaxXent: labels
   int num_segments = 0;
   std::vector<RowRef> refs;  // kGather source rows
-  /// Slab accounting, filled at record time: rows this op moves through a
-  /// state slab (gather rows resolved against a slab base, or scatter_rows'
-  /// row count). Summed into PlanStats so slab traffic is observable
-  /// without walking refs at plan time.
-  std::uint32_t slab_rows = 0;
   Tensor attr_a;             // loss target
   Tensor attr_b;             // loss weight
   std::vector<int> argmax;   // kSegmentMax: argmax rows, filled by forward

@@ -20,7 +20,6 @@ const char* op_name(OpKind k) {
     case OpKind::kOneMinus: return "one_minus";
     case OpKind::kConcatCols: return "concat_cols";
     case OpKind::kGather: return "gather";
-    case OpKind::kScatterRows: return "scatter_rows";
     case OpKind::kSegmentSoftmax: return "segment_softmax";
     case OpKind::kMulCol: return "mul_col";
     case OpKind::kSegmentSum: return "segment_sum";
@@ -35,10 +34,6 @@ const char* op_name(OpKind k) {
 std::uint64_t op_work(const Op& op) {
   const Tensor& out = op.out->value;
   switch (op.kind) {
-    case OpKind::kScatterRows:
-      // The output Var is an empty version marker; the moved data is the
-      // values operand.
-      return static_cast<std::uint64_t>(op.inputs[0]->value.size());
     case OpKind::kMatmul:
       return 2ull * static_cast<std::uint64_t>(out.rows()) *
              static_cast<std::uint64_t>(op.inputs[0]->value.cols()) * out.cols();
@@ -61,8 +56,6 @@ std::uint64_t op_work(const Op& op) {
 
 int op_parallel_extent(const Op& op) {
   switch (op.kind) {
-    case OpKind::kScatterRows:
-      return op.inputs[0]->value.rows();  // out is an empty version marker
     case OpKind::kSegmentSum:
     case OpKind::kSegmentMax:
       return op.out->value.cols();
@@ -119,22 +112,10 @@ bool row_aligned_kind(OpKind k) {
     case OpKind::kConcatCols:
     case OpKind::kGather:
     case OpKind::kMulCol:
-    // Values row i goes to slab row segment[i]: rows of the values operand
-    // are read row-aligned and target rows are distinct, so a row slice of
-    // the scatter writes a private set of slab rows. (The version/reader
-    // operands must stay chain-external — enforced via the forbid list.)
-    case OpKind::kScatterRows:
       return true;
     default:
       return false;
   }
-}
-
-/// Rows of the op's row-parallel axis for chain alignment: the output rows,
-/// except scatter_rows whose axis is the values operand (its out is empty).
-int op_chain_rows(const Op& op) {
-  return op.kind == OpKind::kScatterRows ? op.inputs[0]->value.rows()
-                                         : op.out->value.rows();
 }
 
 /// Emit a lone op: its chunks become single-step tasks of the current cut
@@ -187,9 +168,6 @@ Plan Plan::build(const std::vector<Op*>& ops, int threads) {
     Op* op = ops[0];
     plan.stats_.chains = 1;
     plan.stats_.chain_len_hist[chain_len_bucket(1)] += 1;
-    if (op->kind == OpKind::kGather) plan.stats_.slab_gather_rows = op->slab_rows;
-    if (op->kind == OpKind::kScatterRows)
-      plan.stats_.slab_scatter_rows = op->slab_rows;
     plan.add_cut();
     emit_single_op(plan, op, op_work(*op), threads);
     plan.link_cuts_sequential();
@@ -226,10 +204,6 @@ Plan Plan::build(const std::vector<Op*>& ops, int threads) {
     op->out->plan_epoch = epoch;
     op->out->plan_wave = static_cast<int>(i);
     prod_off[i + 1] = static_cast<std::uint32_t>(prods.size());
-    if (op->kind == OpKind::kGather)
-      plan.stats_.slab_gather_rows += op->slab_rows;
-    else if (op->kind == OpKind::kScatterRows)
-      plan.stats_.slab_scatter_rows += op->slab_rows;
   }
 
   // ---- pass 2: union-find gather-cut fusion --------------------------------
@@ -269,7 +243,7 @@ Plan Plan::build(const std::vector<Op*>& ops, int threads) {
     const std::uint32_t ui = static_cast<std::uint32_t>(i);
     uf[ui] = ui;
     const std::uint64_t wi = op_work(*op);
-    const int rows_i = op_chain_rows(*op);
+    const int rows_i = op->out->value.rows();
     const bool kind_aligned = row_aligned_kind(op->kind);
 
     // Distinct producer clusters and the edge count from each into this op.
@@ -308,16 +282,6 @@ Plan Plan::build(const std::vector<Op*>& ops, int threads) {
         for (const Var& in : op->inputs)
           if (in->plan_epoch == epoch)
             forbid.push_back(find(static_cast<std::uint32_t>(in->plan_wave)));
-        break;
-      case OpKind::kScatterRows:
-        // Only the values operand (inputs[0]) is row-aligned with the
-        // scatter. The consumed version and its readers order whole-slab
-        // access — folding one into a row-split chain would let a slice
-        // overwrite slab rows another slice's reader hasn't gathered yet.
-        for (std::size_t j = 1; j < op->inputs.size(); ++j)
-          if (op->inputs[j]->plan_epoch == epoch)
-            forbid.push_back(
-                find(static_cast<std::uint32_t>(op->inputs[j]->plan_wave)));
         break;
       default:
         break;

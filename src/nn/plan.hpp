@@ -87,8 +87,6 @@ struct PlanStats {
   std::uint32_t ops = 0;        // ops planned
   std::uint32_t chains = 0;     // clusters (fused chains + singletons)
   std::uint32_t fused_ops = 0;  // ops riding inside a multi-op chain
-  std::uint32_t slab_gather_rows = 0;   // gather rows served from a state slab
-  std::uint32_t slab_scatter_rows = 0;  // rows scattered into a state slab
   std::array<std::uint32_t, kChainHistBuckets> chain_len_hist{};
 };
 

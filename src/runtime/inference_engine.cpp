@@ -24,15 +24,16 @@ struct EngineMetrics {
   obs::Histogram& queue_depth_hist = reg.histogram("engine.queue_depth");
   obs::Counter& batches = reg.counter("engine.batches");
   obs::Histogram& batch_size = reg.histogram("engine.batch_size");
-  // Chain-executor work folded out of nn::ExecStats per traced embed.
+  // nn work folded out of nn::ExecStats per traced embed (fused DeepSeq
+  // passes report levels as steps; see ExecStats).
   obs::Counter& nn_chains = reg.counter("nn.chains");
   obs::Counter& nn_steps = reg.counter("nn.steps");
   // Dependency-counted scheduling: global syncs paid and chain tasks
   // released by finishing producers.
   obs::Counter& nn_global_syncs = reg.counter("nn.global_syncs");
   obs::Counter& nn_released_chains = reg.counter("nn.released_chains");
-  // State-slab traffic: rows gathered from / scattered into state slabs.
-  obs::Counter& nn_slab_rows = reg.counter("nn.slab_rows");
+  // Node-state rows the fused inference pass read.
+  obs::Counter& nn_slab_gather_rows = reg.counter("nn.slab_gather_rows");
   static EngineMetrics& get() {
     static EngineMetrics m;
     return m;
@@ -245,9 +246,9 @@ EmbeddingResult InferenceEngine::process(
     if (request.want_state) result.state = structure;
 
     if (request.want_embedding) {
-      // The "embed" span folds the chain executor's work (nn::ExecStats)
-      // into the task trace: fused chains, kernel steps, flushes, scheduler
-      // global syncs, released chains, slab rows, simd lanes.
+      // The "embed" span folds the nn layer's work (nn::ExecStats) into the
+      // task trace: fused chains, kernel steps, flushes, scheduler global
+      // syncs, released chains, state rows read, simd lanes.
       // The per-flush stats collection itself is gated on tracing so the
       // disabled path stays free of extra clock reads.
       const std::uint64_t t0 = tracing ? obs::trace_now_ns() : 0;
@@ -269,9 +270,8 @@ EmbeddingResult InferenceEngine::process(
             static_cast<std::uint64_t>(exec_stats.global_syncs));
         metrics.nn_released_chains.inc(
             static_cast<std::uint64_t>(exec_stats.released_chains));
-        metrics.nn_slab_rows.inc(
-            static_cast<std::uint64_t>(exec_stats.slab_gather_rows +
-                                       exec_stats.slab_scatter_rows));
+        metrics.nn_slab_gather_rows.inc(
+            static_cast<std::uint64_t>(exec_stats.slab_gather_rows));
         obs::TraceEvent e =
             make_span("embed", t0, obs::trace_now_ns(), request.trace, digest);
         e.arg_name[0] = "chains";
@@ -284,8 +284,8 @@ EmbeddingResult InferenceEngine::process(
         e.arg[3] = exec_stats.global_syncs;
         e.arg_name[4] = "released_chains";
         e.arg[4] = exec_stats.released_chains;
-        e.arg_name[5] = "slab_rows";
-        e.arg[5] = exec_stats.slab_gather_rows + exec_stats.slab_scatter_rows;
+        e.arg_name[5] = "slab_gather_rows";
+        e.arg[5] = exec_stats.slab_gather_rows;
         e.arg_name[6] = "simd_lanes";
         e.arg[6] = exec_stats.simd_lanes;
         obs::TraceSink::global().record(e);

@@ -322,7 +322,9 @@ TEST(Session, WarmProbabilityTrafficSkipsRegressionHeads) {
 
 TEST(Session, BackendsReportThreadedEmbedCapability) {
   Session session(small_session());
-  EXPECT_TRUE(session.backend("deepseq").info().threaded_embed);
+  // DeepSeq embeds run the fused inference pass on the calling worker;
+  // PACE embeds are planned graph ops the executor may spread over threads.
+  EXPECT_FALSE(session.backend("deepseq").info().threaded_embed);
   EXPECT_TRUE(session.backend("pace").info().threaded_embed);
   EXPECT_GE(session.num_threads(), 1);
 }

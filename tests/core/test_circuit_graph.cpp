@@ -161,5 +161,61 @@ TEST(CircuitGraph, PisRecorded) {
   EXPECT_EQ(g.pis, aig.pis());
 }
 
+// ---- index contract of the fused inference pass ------------------------------
+
+TEST(CircuitGraph, ValidationAcceptsBuiltGraphs) {
+  EXPECT_NO_THROW(validate_circuit_graph(build_circuit_graph(s27_aig())));
+}
+
+TEST(CircuitGraph, ValidationRejectsHandCorruptedCopies) {
+  // Each corruption of a real graph must fail fast with a typed error:
+  // the fused pass indexes state rows directly and checks nothing per embed.
+  const CircuitGraph good = build_circuit_graph(s27_aig());
+  ASSERT_FALSE(good.comb_forward.empty());
+  ASSERT_FALSE(good.comb_reverse.empty());
+  ASSERT_FALSE(good.ff_targets.empty());
+  const NodeId past_end = static_cast<NodeId>(good.num_nodes);
+  auto level_with_two_targets = [](std::vector<LevelBatch>& levels) -> LevelBatch& {
+    for (LevelBatch& b : levels)
+      if (b.targets.size() >= 2) return b;
+    throw Error("no level with two targets");
+  };
+  auto expect_rejected = [&](const char* what, auto&& corrupt) {
+    CircuitGraph bad = good;
+    corrupt(bad);
+    EXPECT_THROW(validate_circuit_graph(bad), Error) << what;
+  };
+  expect_rejected("repeated target", [&](CircuitGraph& g) {
+    LevelBatch& b = level_with_two_targets(g.comb_forward);
+    b.targets[1] = b.targets[0];
+  });
+  expect_rejected("repeated reverse target", [&](CircuitGraph& g) {
+    LevelBatch& b = level_with_two_targets(g.comb_reverse);
+    b.targets.back() = b.targets.front();
+  });
+  expect_rejected("target out of range",
+                  [&](CircuitGraph& g) { g.comb_forward[0].targets[0] = past_end; });
+  expect_rejected("source out of range",
+                  [&](CircuitGraph& g) { g.comb_reverse[0].sources[0] = past_end; });
+  expect_rejected("segment out of range", [&](CircuitGraph& g) {
+    LevelBatch& b = g.baseline_forward[0];
+    b.segment[0] = static_cast<int>(b.targets.size());
+  });
+  expect_rejected("negative segment",
+                  [&](CircuitGraph& g) { g.baseline_reverse[0].segment[0] = -1; });
+  expect_rejected("segment/source length mismatch",
+                  [&](CircuitGraph& g) { g.comb_forward[0].segment.pop_back(); });
+  expect_rejected("FF target out of range",
+                  [&](CircuitGraph& g) { g.ff_targets[0] = past_end; });
+  expect_rejected("FF source out of range",
+                  [&](CircuitGraph& g) { g.ff_sources[0] = past_end; });
+  expect_rejected("FF pair mismatch",
+                  [&](CircuitGraph& g) { g.ff_sources.pop_back(); });
+  expect_rejected("PI out of range", [&](CircuitGraph& g) { g.pis[0] = past_end; });
+  expect_rejected("feature rows", [&](CircuitGraph& g) {
+    g.features = nn::Tensor(g.num_nodes - 1, kFeatureDim);
+  });
+}
+
 }  // namespace
 }  // namespace deepseq

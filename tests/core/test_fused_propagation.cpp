@@ -1,0 +1,161 @@
+// Bit-identity of the fused no-grad DeepSeq pass against the recorded
+// grad-mode Graph path (record/plan/execute). Embeddings, both regression
+// heads of forward() and ReliabilityModel::estimate must memcmp-match for
+// every parity preset, on the shared parity fixture and on every Table IV
+// design at scale 1/16, design seeds 1 and 2 (FF->FF chains and ptc's tiny
+// levels included). The suite reads DEEPSEQ_NN_SIMD / DEEPSEQ_NN_THREADS
+// from the environment like the rest of ctest, so each CI leg pins the
+// contract at its own setting.
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "core/model.hpp"
+#include "dataset/test_designs.hpp"
+#include "netlist/aig.hpp"
+#include "nn/executor.hpp"
+#include "reliability/reliability_model.hpp"
+#include "support/nn_parity.hpp"
+
+namespace deepseq {
+namespace {
+
+using nn::Graph;
+using nn::Tensor;
+using testsupport::bit_identical;
+using testsupport::parity_fixture;
+using testsupport::parity_presets;
+
+constexpr std::uint64_t kInitSeed = 7;
+
+struct Case {
+  std::string name;
+  CircuitGraph graph;
+  Workload workload;
+  std::vector<NodeId> pos;
+};
+
+const std::vector<Case>& cases() {
+  static const std::vector<Case> all = [] {
+    std::vector<Case> out;
+    const auto& f = parity_fixture();
+    out.push_back({"parity_fixture", f.graph, f.workload,
+                   std::vector<NodeId>(f.aig.pos().begin(), f.aig.pos().end())});
+    for (const std::uint64_t seed : {1u, 2u}) {
+      for (TestDesign& td : build_all_test_designs(1.0 / 16, seed)) {
+        const Circuit aig = optimize_aig(decompose_to_aig(td.netlist).aig).circuit;
+        Rng rng(seed);
+        Case c;
+        c.name = td.name + "@seed" + std::to_string(seed);
+        c.graph = build_circuit_graph(aig);
+        c.workload = random_workload(aig, rng);
+        c.pos.assign(aig.pos().begin(), aig.pos().end());
+        out.push_back(std::move(c));
+      }
+    }
+    return out;
+  }();
+  return all;
+}
+
+bool same_doubles(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(FusedPropagation, CasesCoverFlipFlopChainsAndTinyLevels) {
+  // The parity sweep below is only as strong as its inputs: it must see an
+  // FF whose D input is another FF (the two-phase state copy) and a design
+  // with single-target levels.
+  bool ff_chain = false, tiny_level = false;
+  for (const Case& c : cases()) {
+    const auto& g = c.graph;
+    std::vector<char> is_ff(static_cast<std::size_t>(g.num_nodes), 0);
+    for (NodeId v : g.ff_targets) is_ff[v] = 1;
+    for (NodeId u : g.ff_sources) ff_chain = ff_chain || is_ff[u] != 0;
+    for (const LevelBatch& b : g.comb_forward)
+      tiny_level = tiny_level || b.targets.size() == 1;
+  }
+  EXPECT_TRUE(ff_chain);
+  EXPECT_TRUE(tiny_level);
+  EXPECT_EQ(cases().size(), 13u);
+}
+
+TEST(FusedPropagation, MatchesRecordedPathForEveryPresetAndDesign) {
+  for (const ModelConfig& config : parity_presets()) {
+    const DeepSeqModel model(config);
+    const ReliabilityModel reliability(model);
+    for (const Case& c : cases()) {
+      const std::string where = config.description() + " on " + c.name;
+      Graph fused(/*grad_enabled=*/false);
+      const auto fused_out = model.forward(fused, c.graph, c.workload, kInitSeed);
+      Graph planned(/*grad_enabled=*/true);
+      const nn::Var emb = model.embed(planned, c.graph, c.workload, kInitSeed);
+      const auto planned_out = model.regress(planned, emb);
+
+      Graph fused_embed(/*grad_enabled=*/false);
+      EXPECT_TRUE(bit_identical(
+          model.embed(fused_embed, c.graph, c.workload, kInitSeed)->value,
+          emb->value))
+          << where << ": embed";
+      EXPECT_TRUE(bit_identical(fused_out.tr->value, planned_out.tr->value))
+          << where << ": tr head";
+      EXPECT_TRUE(bit_identical(fused_out.lg->value, planned_out.lg->value))
+          << where << ": lg head";
+
+      // ReliabilityModel::estimate runs the fused pass; rebuild its readout
+      // from the recorded path (the forked backbone carries `model`'s
+      // weights, so planned_out.lg is the backbone's logic probability).
+      const auto est = reliability.estimate(c.graph, c.workload, c.pos, kInitSeed);
+      Graph planned_err(/*grad_enabled=*/true);
+      const Tensor err =
+          reliability.forward(planned_err, c.graph, c.workload, kInitSeed)->value;
+      std::vector<double> node_rel(static_cast<std::size_t>(c.graph.num_nodes));
+      for (int v = 0; v < c.graph.num_nodes; ++v) {
+        const double p1 = planned_out.lg->value.at(v, 0);
+        node_rel[v] = p1 * (1.0 - err.at(v, 1)) + (1.0 - p1) * (1.0 - err.at(v, 0));
+      }
+      EXPECT_TRUE(same_doubles(est.node_reliability, node_rel))
+          << where << ": reliability";
+    }
+  }
+}
+
+TEST(FusedPropagation, TraceReportsSweepsLevelsAndStateRows) {
+  // The fused pass records no ops: under an ExecTraceScope it reports one
+  // flush per sweep, one step per level and every state row it read, while
+  // the planner and scheduler counters stay 0.
+  const auto& f = parity_fixture();
+  const ModelConfig config = ModelConfig::deepseq(32, 2);
+  const DeepSeqModel model(config);
+  nn::ExecStats stats;
+  {
+    nn::ExecTraceScope trace(stats);
+    Graph g(/*grad_enabled=*/false);
+    model.embed(g, f.graph, f.workload, kInitSeed);
+  }
+  int levels = 0, rows = 0;
+  for (const auto* sweep : {&f.graph.comb_forward, &f.graph.comb_reverse})
+    for (const LevelBatch& b : *sweep) {
+      ++levels;
+      rows += static_cast<int>(b.targets.size() + 2 * b.sources.size());
+    }
+  rows += static_cast<int>(f.graph.ff_sources.size());
+  const int t = config.iterations;
+  EXPECT_EQ(stats.flushes, 2 * t);
+  EXPECT_EQ(stats.flush_ms.size(), static_cast<std::size_t>(2 * t));
+  EXPECT_EQ(stats.steps, t * levels);
+  EXPECT_EQ(stats.slab_gather_rows, t * rows);
+  EXPECT_EQ(stats.chains, 0);
+  EXPECT_EQ(stats.fused_ops, 0);
+  EXPECT_EQ(stats.global_syncs, 0);
+  EXPECT_EQ(stats.released_chains, 0);
+  EXPECT_EQ(stats.parallel_flushes, 0);
+}
+
+}  // namespace
+}  // namespace deepseq

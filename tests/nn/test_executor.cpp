@@ -1,9 +1,10 @@
 // Parity of the record/plan/execute pipeline across thread counts: parallel
-// execution must be bit-identical to the sequential path — forward
-// embeddings, loss values, and gradients — for every ModelConfig preset, in
-// grad and no-grad modes. Chunk boundaries are fixed by the plan and every
-// output element is produced by exactly one chunk with the sequential
-// inner-loop order, so equality here is exact (memcmp), not approximate.
+// execution must be bit-identical to the sequential path — planned
+// embeddings, regression heads, loss values, and gradients — for every
+// ModelConfig preset, in grad and no-grad modes. Chunk boundaries are fixed
+// by the plan and every output element is produced by exactly one chunk
+// with the sequential inner-loop order, so equality here is exact (memcmp),
+// not approximate.
 
 #include <gtest/gtest.h>
 
@@ -28,11 +29,19 @@ using testsupport::parity_fixture;
 using testsupport::parity_presets;
 using testsupport::train_step_with;
 
-Tensor embed_with(const DeepSeqModel& model, nn::Executor& exec) {
+/// Everything the executor plans for one model on the fixture: the no-grad
+/// regression heads (their input embedding takes the fused pass, which
+/// never touches the executor) and the grad-mode planned embedding.
+std::vector<Tensor> planned_outputs_with(const DeepSeqModel& model,
+                                         nn::Executor& exec) {
   nn::ExecutorScope scope(exec);
-  Graph g(/*grad_enabled=*/false);
-  return model.embed(g, parity_fixture().graph, parity_fixture().workload, 7)
-      ->value;
+  Graph infer(/*grad_enabled=*/false);
+  const auto heads =
+      model.forward(infer, parity_fixture().graph, parity_fixture().workload, 7);
+  Graph train(/*grad_enabled=*/true);
+  const Var emb =
+      model.embed(train, parity_fixture().graph, parity_fixture().workload, 7);
+  return {heads.tr->value, heads.lg->value, emb->value};
 }
 
 TEST(Executor, ParallelEmbedBitIdenticalToSequentialForAllPresets) {
@@ -40,12 +49,14 @@ TEST(Executor, ParallelEmbedBitIdenticalToSequentialForAllPresets) {
   nn::Executor sequential;
   for (const ModelConfig& config : parity_presets()) {
     const DeepSeqModel model(config);
-    const Tensor reference = embed_with(model, sequential);
+    const std::vector<Tensor> reference = planned_outputs_with(model, sequential);
     for (const int threads : {2, 4}) {
       nn::Executor parallel(&pool, threads);
-      const Tensor got = embed_with(model, parallel);
-      EXPECT_TRUE(bit_identical(reference, got))
-          << config.description() << " diverges at " << threads << " threads";
+      const std::vector<Tensor> got = planned_outputs_with(model, parallel);
+      for (std::size_t i = 0; i < reference.size(); ++i)
+        EXPECT_TRUE(bit_identical(reference[i], got[i]))
+            << config.description() << " output " << i << " diverges at "
+            << threads << " threads";
     }
   }
 }
@@ -71,9 +82,10 @@ TEST(Executor, ParallelBackwardBitIdenticalToSequentialForAllPresets) {
 
 TEST(Executor, ParallelCutsActuallyDispatch) {
   // Guard against silently testing the inline path only: at 4 threads the
-  // deepseq preset on this fixture must enlist pool helpers for at least
-  // one flush, and chain fusion must actually fuse ops (multi-op chains)
-  // rather than degenerate to one op per task.
+  // deepseq preset's grad-mode forward pass on this fixture (the planned
+  // path training runs; no-grad embeds take the fused pass) must enlist
+  // pool helpers for at least one flush, and chain fusion must actually
+  // fuse ops (multi-op chains) rather than degenerate to one op per task.
   runtime::ThreadPool pool(4);
   nn::Executor parallel(&pool, 4);
   nn::ExecStats stats;
@@ -81,8 +93,8 @@ TEST(Executor, ParallelCutsActuallyDispatch) {
     nn::ExecutorScope scope(parallel);
     nn::ExecTraceScope trace(stats);
     const DeepSeqModel model(ModelConfig::deepseq(32, 2));
-    Graph g(false);
-    model.embed(g, parity_fixture().graph, parity_fixture().workload, 7);
+    Graph g(/*grad_enabled=*/true);
+    model.forward(g, parity_fixture().graph, parity_fixture().workload, 7);
   }
   EXPECT_GT(stats.flushes, 0);
   EXPECT_GT(stats.parallel_flushes, 0);

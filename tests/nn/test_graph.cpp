@@ -403,83 +403,5 @@ TEST(GradCheck, SoftmaxCrossEntropyHead) {
   EXPECT_LT(res.max_rel_error, 0.05) << "worst: " << res.worst_param;
 }
 
-// ---- state slabs -----------------------------------------------------------
-
-TEST(Slab, GatherReadsRowsAndScatterMakesNextVersion) {
-  Graph g(/*grad_enabled=*/false);
-  Var v0 = g.slab(Tensor::from_rows({{1, 2}, {3, 4}, {5, 6}}));
-  Var rows = g.gather({RowRef{v0, 2}, RowRef{v0, 0}});
-  EXPECT_FLOAT_EQ(rows->value.at(0, 0), 5.0f);
-  EXPECT_FLOAT_EQ(rows->value.at(1, 1), 2.0f);
-
-  Var upd = g.constant(Tensor::from_rows({{10, 20}}));
-  Var v1 = g.scatter_rows(v0, upd, {1});
-  // The overwrite landed in the shared storage; the new version reads it
-  // and the untouched rows.
-  Var after = g.gather({RowRef{v1, 0}, RowRef{v1, 1}, RowRef{v1, 2}});
-  EXPECT_FLOAT_EQ(after->value.at(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(after->value.at(1, 0), 10.0f);
-  EXPECT_FLOAT_EQ(after->value.at(1, 1), 20.0f);
-  EXPECT_FLOAT_EQ(after->value.at(2, 1), 6.0f);
-}
-
-TEST(Slab, VersionIsConsumedExactlyOnce) {
-  Graph g(/*grad_enabled=*/false);
-  Var v0 = g.slab(Tensor::full(3, 2, 1.0f));
-  Var upd = g.constant(Tensor::full(1, 2, 9.0f));
-  Var v1 = g.scatter_rows(v0, upd, {0});
-  // A second scatter through the dead version must throw, as must a gather
-  // of it: rows may already hold v1 data.
-  EXPECT_THROW(g.scatter_rows(v0, upd, {1}), Error);
-  EXPECT_THROW(g.gather({RowRef{v0, 0}}), Error);
-  // The live version still works.
-  Var v2 = g.scatter_rows(v1, upd, {2});
-  EXPECT_FLOAT_EQ(g.gather({RowRef{v2, 2}})->value.at(0, 1), 9.0f);
-}
-
-TEST(Slab, ScatterValidatesShapeAndTargets) {
-  Graph g(/*grad_enabled=*/false);
-  Var v0 = g.slab(Tensor::full(4, 2, 0.0f));
-  Var bad_cols = g.constant(Tensor::full(1, 3, 1.0f));
-  EXPECT_THROW(g.scatter_rows(v0, bad_cols, {0}), ShapeError);
-  Var two = g.constant(Tensor::full(2, 2, 1.0f));
-  EXPECT_THROW(g.scatter_rows(v0, two, {0}), ShapeError);       // row count
-  EXPECT_THROW(g.scatter_rows(v0, two, {1, 1}), ShapeError);    // duplicate
-  EXPECT_THROW(g.scatter_rows(v0, two, {1, 4}), ShapeError);    // range
-  EXPECT_THROW(g.scatter_rows(v0, two, {-1, 1}), ShapeError);   // range
-  // None of the rejected calls consumed the version.
-  Var v1 = g.scatter_rows(v0, two, {3, 1});  // unsorted targets are fine
-  EXPECT_FLOAT_EQ(g.gather({RowRef{v1, 3}})->value.at(0, 0), 1.0f);
-}
-
-TEST(Slab, GradEnabledGraphRefusesScatter) {
-  Graph g(/*grad_enabled=*/true);
-  Var v0 = g.slab(Tensor::full(2, 2, 0.0f));
-  Var upd = g.constant(Tensor::full(1, 2, 1.0f));
-  EXPECT_THROW(g.scatter_rows(v0, upd, {0}), Error);
-}
-
-TEST(Slab, BatchedReadersAreOrderedBeforeOverwrite) {
-  // Inside one BatchScope, gathers of the old version record before the
-  // scatter that overwrites their rows; the planner must sequence them
-  // first, so the gathered values are the OLD rows even though everything
-  // executes in one flush.
-  Graph g(/*grad_enabled=*/false);
-  Var v0 = g.slab(Tensor::from_rows({{1, 1}, {2, 2}}));
-  Var old_rows, after;
-  {
-    BatchScope batch(g);
-    old_rows = g.gather({RowRef{v0, 0}, RowRef{v0, 1}});
-    Var doubled = g.scale(old_rows, 2.0f);
-    Var v1 = g.scatter_rows(v0, doubled, {0, 1});
-    after = g.gather({RowRef{v1, 0}, RowRef{v1, 1}});
-  }
-  EXPECT_FLOAT_EQ(old_rows->value.at(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(old_rows->value.at(1, 0), 2.0f);
-  EXPECT_FLOAT_EQ(after->value.at(0, 0), 2.0f);
-  EXPECT_FLOAT_EQ(after->value.at(1, 0), 4.0f);
-}
-
-
 }  // namespace
 }  // namespace deepseq::nn

@@ -208,5 +208,38 @@ TEST(Kernels, MatmulRowRangeMatchesWhole) {
   EXPECT_TRUE(bytes_equal(whole, split));
 }
 
+TEST(Kernels, RowFormulasSlicedMatchWholeOnBothPaths) {
+  // The executor runs add_row / mul_col on row slices and segment_sum on
+  // column slices; the fused inference pass calls them on whole levels.
+  // Both must produce the same bytes, SIMD or scalar.
+  constexpr std::size_t kRows = 9, kSegs = 4;
+  const std::vector<int> segment{2, 0, 3, 2, 1, 0, 0, 3, 2};
+  expect_simd_scalar_identical("row formulas", [&](std::size_t cols) {
+    const auto a = pattern(kRows * cols, 40), row = pattern(cols, 41);
+    const auto col = pattern(kRows, 42);
+    std::vector<float> whole(kRows * cols), split(kRows * cols);
+    std::vector<float> out;
+    add_row(whole.data(), a.data(), row.data(), kRows, cols);
+    add_row(split.data(), a.data(), row.data(), 4, cols);
+    add_row(split.data() + 4 * cols, a.data() + 4 * cols, row.data(), kRows - 4, cols);
+    EXPECT_TRUE(bytes_equal(whole, split)) << "add_row slices, cols=" << cols;
+    out.insert(out.end(), whole.begin(), whole.end());
+
+    mul_col(whole.data(), a.data(), col.data(), kRows, cols);
+    mul_col(split.data(), a.data(), col.data(), 5, cols);
+    mul_col(split.data() + 5 * cols, a.data() + 5 * cols, col.data() + 5, kRows - 5, cols);
+    EXPECT_TRUE(bytes_equal(whole, split)) << "mul_col slices, cols=" << cols;
+    out.insert(out.end(), whole.begin(), whole.end());
+
+    std::vector<float> sum_whole(kSegs * cols, 0.0f), sum_split(kSegs * cols, 0.0f);
+    segment_sum(sum_whole.data(), a.data(), segment.data(), kRows, cols, 0, cols);
+    segment_sum(sum_split.data(), a.data(), segment.data(), kRows, cols, 0, cols / 2);
+    segment_sum(sum_split.data(), a.data(), segment.data(), kRows, cols, cols / 2, cols);
+    EXPECT_TRUE(bytes_equal(sum_whole, sum_split)) << "segment_sum slices, cols=" << cols;
+    out.insert(out.end(), sum_whole.begin(), sum_whole.end());
+    return out;
+  });
+}
+
 }  // namespace
 }  // namespace deepseq::nn::kernels

@@ -178,11 +178,11 @@ TEST(Plan, GatherAbsorbsIntoSequentialChainOnlyWhenCheap) {
 // tests/support/nn_parity.hpp so both suites pin the same contract)
 
 TEST(PlanParity, MatchesSequentialForAllPresetsAndThreadCounts) {
-  // Embeddings (no-grad: state slabs) and gradients (grad mode: per-level
-  // state matrices) bit-identical at threads={1,2,4} for every ModelConfig
-  // preset. The reference is the sequential run; everything else must
-  // memcmp-match it — including the grad-mode embedding, so serving (slabs)
-  // and training (matrices) see the same representation.
+  // Embeddings (no-grad: the fused pass) and gradients (grad mode: planned
+  // per-level state matrices) bit-identical at threads={1,2,4} for every
+  // ModelConfig preset. The reference is the sequential run; everything
+  // else must memcmp-match it — including the grad-mode embedding, so
+  // serving (fused) and training (planned) see the same representation.
   runtime::ThreadPool pool(4);
   auto embed_with = [](const DeepSeqModel& model, nn::Executor& exec,
                        bool grad_enabled = false) {
@@ -196,7 +196,7 @@ TEST(PlanParity, MatchesSequentialForAllPresetsAndThreadCounts) {
     nn::Executor sequential;
     const Tensor reference = embed_with(model, sequential);
     EXPECT_TRUE(bit_identical(reference, embed_with(model, sequential, true)))
-        << config.description() << " slab embed diverges from matrix embed";
+        << config.description() << " fused embed diverges from planned embed";
     const GradRun ref_grads = train_step_with(model, sequential);
 
     for (const int threads : {1, 2, 4}) {
@@ -295,7 +295,7 @@ TEST(PlanStructure, PllShapedGraphFusesChainsTenfold) {
   EXPECT_GT(stats.fused_ops, (kLevels * 13) / 2);
 }
 
-// ---- dependency-counted scheduling and state slabs --------------------------
+// ---- dependency-counted scheduling -------------------------------------------
 
 TEST(PlanStructure, DepNodesCoverTasksWithProducerFirstEdges) {
   // The dependency layer of a built plan must be a consistent DAG covering
@@ -410,49 +410,6 @@ TEST(PlanStructure, DepSchedulingCollapsesGlobalSyncsToOnePerFlush) {
   EXPECT_EQ(dep.flushes, (kLevels + kLevelsPerFlush - 1) / kLevelsPerFlush);
   // Dep scheduling actually released chains downstream of the roots.
   EXPECT_GT(dep.released_chains, 0);
-}
-
-TEST(PlanStructure, SlabChainsFuseAndCountInHistogram) {
-  // A slab-based deep-narrow recurrence: gather slab rows -> elementwise
-  // chain -> scatter back. The gathers read the base tensor (no per-level
-  // state matrices to escape into), so whole levels — scatter included —
-  // must fuse into multi-op chains, and the chain-length histogram must
-  // count those fused-slab chains in its >= 5-step buckets.
-  nn::Executor exec;  // sequential: histogram is structural
-  nn::ExecutorScope scope(exec);
-  nn::ExecStats stats;
-  nn::ExecTraceScope ts(stats);
-  constexpr int kLevels = 24;
-  constexpr int kRows = 8;
-  Graph g(/*grad_enabled=*/false);
-  Var version = g.slab(Tensor::full(kRows, 8, 0.3f));
-  {
-    nn::BatchScope group(g);
-    std::vector<int> targets(kRows);
-    for (int r = 0; r < kRows; ++r) targets[r] = r;
-    for (int level = 0; level < kLevels; ++level) {
-      std::vector<nn::RowRef> refs;
-      for (int r = 0; r < kRows; ++r)
-        refs.push_back(nn::RowRef{version, kRows - 1 - r});
-      Var x = g.gather(refs);
-      for (int i = 0; i < 3; ++i) x = g.sigmoid(g.scale(x, 1.01f));
-      version = g.scatter_rows(version, x, targets);
-    }
-  }
-  EXPECT_EQ(stats.slab_gather_rows, kLevels * kRows);
-  EXPECT_EQ(stats.slab_scatter_rows, kLevels * kRows);
-  // Each level records 8 ops (gather + 6 elementwise + scatter). The
-  // gather and the elementwise run must fuse into one chain per level (the
-  // scatter stays its own cluster: its reader-ordering edges forbid joining
-  // a potentially row-split chain), so at most 2 chains per level — far
-  // fewer than the 8 ops recorded — and the
-  // histogram must count the fused-slab chains in its >= 5-step buckets.
-  ASSERT_GT(stats.chains, 0);
-  EXPECT_LE(stats.chains, kLevels * 2);
-  int long_chains = 0;
-  for (int b = nn::chain_len_bucket(5); b < nn::kChainHistBuckets; ++b)
-    long_chains += stats.chain_len_hist[b];
-  EXPECT_GT(long_chains, 0);
 }
 
 }  // namespace
