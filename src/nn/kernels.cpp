@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/env.hpp"
@@ -30,11 +32,82 @@ bool cpu_has_avx2() {
 // way; relaxed ordering is sufficient.
 std::atomic<bool> g_simd_enabled{true};
 
+// ---- activation polynomials -------------------------------------------------
+//
+// sigmoid and tanh share one exp of a nonpositive argument y:
+//   n = round(y / ln 2) via the 1.5 * 2^23 shifter (no floor, no libm),
+//   r = y - n ln2_hi - n ln2_lo (Cody-Waite split; n ln2_hi is exact),
+//   exp(r) = 1 + r + r^2 P(r), P the degree-5 Cephes expf polynomial,
+//   2^n built from the shifter's integer bits.
+// y is clamped below at kExpMin, so n >= -127. y < -126.5 ln 2 (~-87.68)
+// rounds to n = -127, whose 2^n bits are +0, so exp flushes to zero where
+// its true value is already subnormal. The clamp is a bit select rather
+// than a comparison branch, so NaN passes through and the scalar loop stays
+// branch-free (GCC vectorizes it with SSE2).
+// tanh uses the odd Cephes tanhf polynomial below |x| = 0.625 and
+// (1 - e) / (1 + e), e = exp(-2|x|), above; both are evaluated and one is
+// selected. The scalar and AVX2 bodies issue the same IEEE operations in
+// the same order, so they agree bit for bit.
+constexpr float kExpMin = -88.0f;
+constexpr float kLog2e = 1.44269504088896341f;
+constexpr float kShifter = 12582912.0f;  // 1.5 * 2^23
+constexpr float kLn2Hi = 0.693359375f;
+constexpr float kLn2Lo = -2.12194440e-4f;
+constexpr float kExpP[] = {1.9875691500e-4f, 1.3981999507e-3f, 8.3334519073e-3f,
+                           4.1665795894e-2f, 1.6666665459e-1f, 5.0000001201e-1f};
+constexpr float kTanhSmall = 0.625f;
+constexpr float kTanhP[] = {-5.70498872745e-3f, 2.06390887954e-2f, -5.37397155531e-2f,
+                            1.33314422036e-1f, -3.33332819422e-1f};
+constexpr std::uint32_t kSignBit = 0x80000000u;
+constexpr std::uint32_t kOneBits = 0x3F800000u;  // 1.0f; also 2^n's exponent bias
+
+inline std::uint32_t bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+inline float from_bits(std::uint32_t b) { return std::bit_cast<float>(b); }
+/// mask ? a : b, lane-wise on bits (mask is all ones or all zeros).
+inline float select_bits(std::uint32_t mask, float a, float b) {
+  return from_bits((bits(a) & mask) | (bits(b) & ~mask));
+}
+inline std::uint32_t mask_if(bool c) { return 0u - static_cast<std::uint32_t>(c); }
+
+/// exp(y) for y <= 0 (NaN propagates).
+inline float exp_nonpos(float y) {
+  y = select_bits(mask_if(kExpMin > y), kExpMin, y);
+  const float kf = y * kLog2e + kShifter;
+  const float nf = kf - kShifter;
+  float r = y - nf * kLn2Hi;
+  r = r - nf * kLn2Lo;
+  float p = kExpP[0];
+  for (int i = 1; i < 6; ++i) p = p * r + kExpP[i];
+  const float e = (p * (r * r) + r) + 1.0f;
+  return e * from_bits((bits(kf) << 23) + kOneBits);
+}
+
+/// 1 / (1 + exp(-x)) as 1 / (1 + e) for x >= 0 and e / (1 + e) for x < 0,
+/// e = exp(-|x|), so the exp never overflows.
+inline float sigmoid_one(float x) {
+  const float e = exp_nonpos(from_bits(bits(x) | kSignBit));
+  const float num = select_bits(mask_if((bits(x) & kSignBit) != 0), e, 1.0f);
+  return num / (1.0f + e);
+}
+
+inline float tanh_one(float x) {
+  const float a = from_bits(bits(x) & ~kSignBit);
+  const float e = exp_nonpos(a * -2.0f);
+  const float large = (1.0f - e) / (1.0f + e);
+  const float z = a * a;
+  float q = kTanhP[0];
+  for (int i = 1; i < 5; ++i) q = q * z + kTanhP[i];
+  const float small = q * z * a + a;
+  const float t = select_bits(mask_if(a < kTanhSmall), small, large);
+  return from_bits(bits(t) | (bits(x) & kSignBit));
+}
+
 #if defined(__x86_64__)
 
-// AVX2 bodies. target("avx2") deliberately excludes "fma": the scalar
-// baseline is built without -mfma, so every multiply-add must stay a
-// separate vmulps + vaddps to round identically.
+// AVX2 bodies. target("avx2") deliberately excludes "fma", and the library
+// builds with -ffp-contract=off (CMakeLists.txt), so every multiply-add
+// stays a separate vmulps + vaddps and rounds like the scalar body even
+// when -march=native enables FMA.
 
 __attribute__((target("avx2"))) void add_avx2(float* o, const float* x, const float* y,
                                               std::size_t n) {
@@ -131,13 +204,84 @@ __attribute__((target("avx2"))) void acc_scale_avx2(float* dst, const float* g, 
   for (; i < n; ++i) dst[i] += g[i] * s;
 }
 
+__attribute__((target("avx2"))) inline void transpose8(__m256 r[8]) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]), t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]), t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]), t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]), t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+// One ascending-p step of eight lanes: acc += a * b unless a == 0, where
+// the blend keeps acc untouched exactly as the scalar loop's `continue`.
+__attribute__((target("avx2"))) inline __m256 matvec_step(__m256 acc, __m256 a, float b) {
+  const __m256 sum = _mm256_add_ps(acc, _mm256_mul_ps(a, _mm256_set1_ps(b)));
+  return _mm256_blendv_ps(acc, sum, _mm256_cmp_ps(a, _mm256_setzero_ps(), _CMP_NEQ_UQ));
+}
+
+// n == 1 (the attention and gate logits): eight output rows ride in eight
+// lanes. Each 8x8 block of A is transposed in registers so that register q
+// holds a[i][p + q] for the eight rows i, and every lane accumulates over
+// ascending p with the zero-skip as a masked add — the scalar loop's exact
+// per-element sequence. Returns the first row it did not compute.
+__attribute__((target("avx2"))) int matvec_rows8_avx2(const float* a, int lda, const float* b,
+                                                      int ldb, float* out, int ldo, int rb,
+                                                      int re, int k) {
+  int i = rb;
+  for (; i + 8 <= re; i += 8) {
+    const float* ablock = a + static_cast<std::size_t>(i) * lda;
+    float* oblock = out + static_cast<std::size_t>(i) * ldo;
+    alignas(32) float lane[8];
+    for (int r = 0; r < 8; ++r) lane[r] = oblock[static_cast<std::size_t>(r) * ldo];
+    __m256 acc = _mm256_load_ps(lane);
+    __m256 col[8];
+    int p = 0;
+    for (; p + 8 <= k; p += 8) {
+      for (int r = 0; r < 8; ++r)
+        col[r] = _mm256_loadu_ps(ablock + static_cast<std::size_t>(r) * lda + p);
+      transpose8(col);
+      for (int q = 0; q < 8; ++q)
+        acc = matvec_step(acc, col[q], b[static_cast<std::size_t>(p + q) * ldb]);
+    }
+    if (p < k) {  // k % 8 columns: masked loads never touch past a row's end
+      const __m256i live = _mm256_cmpgt_epi32(_mm256_set1_epi32(k - p),
+                                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+      for (int r = 0; r < 8; ++r)
+        col[r] = _mm256_maskload_ps(ablock + static_cast<std::size_t>(r) * lda + p, live);
+      transpose8(col);
+      for (int q = 0; p + q < k; ++q)
+        acc = matvec_step(acc, col[q], b[static_cast<std::size_t>(p + q) * ldb]);
+    }
+    _mm256_store_ps(lane, acc);
+    for (int r = 0; r < 8; ++r) oblock[static_cast<std::size_t>(r) * ldo] = lane[r];
+  }
+  return i;
+}
+
 // Register-blocked row microkernel: 4 ymm accumulators cover a 32-float
 // output block per row. Each out[i][j] is accumulated over ascending p with
 // the same zero-skip as the scalar loop, so per-element op order is
-// identical regardless of the j-blocking.
+// identical regardless of the j-blocking. For n == 1 the matvec above takes
+// whole 8-row blocks and the leftover rows fall through to the j tail.
 __attribute__((target("avx2"))) void matmul_rows_avx2(const float* a, int lda, const float* b,
                                                       int ldb, float* out, int ldo, int rb,
                                                       int re, int k, int n) {
+  if (n == 1) rb = matvec_rows8_avx2(a, lda, b, ldb, out, ldo, rb, re, k);
   for (int i = rb; i < re; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * lda;
     float* orow = out + static_cast<std::size_t>(i) * ldo;
@@ -185,9 +329,58 @@ __attribute__((target("avx2"))) void matmul_rows_avx2(const float* a, int lda, c
   }
 }
 
+/// exp(y) for y <= 0, lane for lane the operation sequence of exp_nonpos.
+__attribute__((target("avx2"))) inline __m256 exp_nonpos_avx2(__m256 y) {
+  y = _mm256_max_ps(_mm256_set1_ps(kExpMin), y);  // kExpMin > y ? kExpMin : y
+  const __m256 shifter = _mm256_set1_ps(kShifter);
+  const __m256 kf = _mm256_add_ps(_mm256_mul_ps(y, _mm256_set1_ps(kLog2e)), shifter);
+  const __m256 nf = _mm256_sub_ps(kf, shifter);
+  __m256 r = _mm256_sub_ps(y, _mm256_mul_ps(nf, _mm256_set1_ps(kLn2Hi)));
+  r = _mm256_sub_ps(r, _mm256_mul_ps(nf, _mm256_set1_ps(kLn2Lo)));
+  __m256 p = _mm256_set1_ps(kExpP[0]);
+  for (int i = 1; i < 6; ++i) p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(kExpP[i]));
+  const __m256 e = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, _mm256_mul_ps(r, r)), r),
+                                 _mm256_set1_ps(1.0f));
+  const __m256i pow2n = _mm256_add_epi32(_mm256_slli_epi32(_mm256_castps_si256(kf), 23),
+                                         _mm256_set1_epi32(static_cast<int>(kOneBits)));
+  return _mm256_mul_ps(e, _mm256_castsi256_ps(pow2n));
+}
+
+__attribute__((target("avx2"))) void sigmoid_avx2(float* o, const float* x, std::size_t n) {
+  const __m256 sign = _mm256_set1_ps(-0.0f), one = _mm256_set1_ps(1.0f);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    const __m256 e = exp_nonpos_avx2(_mm256_or_ps(v, sign));
+    const __m256 num = _mm256_blendv_ps(one, e, v);  // v's sign bit picks e
+    _mm256_storeu_ps(o + i, _mm256_div_ps(num, _mm256_add_ps(one, e)));
+  }
+  for (; i < n; ++i) o[i] = sigmoid_one(x[i]);
+}
+
+__attribute__((target("avx2"))) void tanh_avx2(float* o, const float* x, std::size_t n) {
+  const __m256 sign = _mm256_set1_ps(-0.0f), one = _mm256_set1_ps(1.0f);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    const __m256 a = _mm256_andnot_ps(sign, v);
+    const __m256 e = exp_nonpos_avx2(_mm256_mul_ps(a, _mm256_set1_ps(-2.0f)));
+    const __m256 large = _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e));
+    const __m256 z = _mm256_mul_ps(a, a);
+    __m256 q = _mm256_set1_ps(kTanhP[0]);
+    for (int j = 1; j < 5; ++j) q = _mm256_add_ps(_mm256_mul_ps(q, z), _mm256_set1_ps(kTanhP[j]));
+    const __m256 small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(q, z), a), a);
+    const __m256 is_small = _mm256_cmp_ps(a, _mm256_set1_ps(kTanhSmall), _CMP_LT_OQ);
+    const __m256 t = _mm256_blendv_ps(large, small, is_small);
+    _mm256_storeu_ps(o + i, _mm256_or_ps(t, _mm256_and_ps(v, sign)));
+  }
+  for (; i < n; ++i) o[i] = tanh_one(x[i]);
+}
+
 #endif  // defined(__x86_64__)
 
-// Scalar fallbacks — byte-for-byte the executor's original loops.
+// Scalar fallbacks — byte-for-byte the executor's original loops, plus the
+// activation polynomials above.
 
 void add_scalar(float* o, const float* x, const float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) o[i] = x[i] + y[i];
@@ -231,6 +424,12 @@ void matmul_rows_scalar(const float* a, int lda, const float* b, int ldb, float*
       for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
     }
   }
+}
+void sigmoid_scalar(float* o, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) o[i] = sigmoid_one(x[i]);
+}
+void tanh_scalar(float* o, const float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) o[i] = tanh_one(x[i]);
 }
 
 }  // namespace
@@ -282,18 +481,10 @@ void matmul_rows(const float* a, int lda, const float* b, int ldb, float* out, i
                  int re, int k, int n) {
   DEEPSEQ_DISPATCH(matmul_rows, a, lda, b, ldb, out, ldo, rb, re, k, n);
 }
+void sigmoid(float* o, const float* x, std::size_t n) { DEEPSEQ_DISPATCH(sigmoid, o, x, n); }
+void tanh_(float* o, const float* x, std::size_t n) { DEEPSEQ_DISPATCH(tanh, o, x, n); }
 
 #undef DEEPSEQ_DISPATCH
-
-// Transcendentals stay scalar libm by design: exp/tanh have no exact vector
-// twin.
-void sigmoid(float* o, const float* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) o[i] = 1.0f / (1.0f + std::exp(-x[i]));
-}
-
-void tanh_(float* o, const float* x, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) o[i] = std::tanh(x[i]);
-}
 
 void add_row(float* o, const float* a, const float* row, std::size_t rows,
              std::size_t cols) {

@@ -7,15 +7,23 @@ namespace deepseq::nn::kernels {
 /// Vectorized chain-step primitives with a bit-identical scalar fallback.
 ///
 /// Every routine here computes exactly the same per-element operation
-/// sequence as the executor's original scalar loops: elementwise kernels
-/// apply one IEEE op per element, and the matmul microkernel accumulates
-/// each output element over the inner dimension in ascending order with the
-/// same zero-skip, using separate multiply and add (never FMA — the scalar
-/// baseline is compiled without FP contraction, so a fused multiply-add
-/// would change rounding). The AVX2 paths therefore produce byte-identical
+/// sequence on both paths: elementwise kernels apply one IEEE op per
+/// element, and the matmul microkernel accumulates each output element over
+/// the inner dimension in ascending order with the same zero-skip, using
+/// separate multiply and add (never FMA: the library builds with
+/// -ffp-contract=off, so a fused multiply-add cannot change rounding on
+/// either path). For n == 1 the AVX2 matmul holds eight output rows in eight
+/// lanes (8x8 in-register transposes of A, the zero-skip as a masked add),
+/// which is still each element's scalar sequence. sigmoid and tanh are
+/// in-tree polynomials, not libm: a range-reduced exp (Cody-Waite ln 2
+/// split, degree-5 polynomial, 2^n from integer bits) and an odd tanh
+/// polynomial below |x| = 0.625, written once as a branch-free scalar body
+/// and once in AVX2 with the same op sequence. They stay within 3 ulp of a
+/// double-precision reference wherever that reference is a normal float,
+/// map NaN to NaN, sigmoid(+-inf) to 1 and 0 and tanh(+-inf) to +-1, and
+/// keep tanh(-0) = -0. The AVX2 paths therefore produce byte-identical
 /// results to the scalar paths, which tests/nn/test_kernels.cpp pins per
-/// kernel; transcendental kernels (sigmoid, tanh, the softmax family) stay
-/// scalar libm by design.
+/// kernel; segment_softmax alone still calls libm exp, on both paths.
 ///
 /// Dispatch is runtime: the AVX2 path runs only when the host supports it
 /// AND DEEPSEQ_NN_SIMD (env_int, default 1) is nonzero. The executor
@@ -72,8 +80,8 @@ void matmul_rows(const float* a, int lda, const float* b, int ldb, float* out,
 // two paths share one implementation of every formula. Row-range slices of
 // a call compute exactly the elements of the full call, bit for bit.
 
-void sigmoid(float* o, const float* x, std::size_t n);  // 1 / (1 + exp(-x)), libm
-void tanh_(float* o, const float* x, std::size_t n);    // libm tanh
+void sigmoid(float* o, const float* x, std::size_t n);  // 1 / (1 + exp(-x))
+void tanh_(float* o, const float* x, std::size_t n);
 /// o (rows x cols) = a + row, the 1 x cols row broadcast over rows.
 void add_row(float* o, const float* a, const float* row, std::size_t rows,
              std::size_t cols);

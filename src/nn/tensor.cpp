@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "nn/kernels.hpp"
 
 namespace deepseq::nn {
 
@@ -170,14 +171,13 @@ void scale_in_place(Tensor& t, float s) {
 
 Tensor sigmoid(const Tensor& a) {
   Tensor out(a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.size(); ++i)
-    out.data()[i] = 1.0f / (1.0f + std::exp(-a.data()[i]));
+  kernels::sigmoid(out.data(), a.data(), a.size());
   return out;
 }
 
 Tensor tanh_t(const Tensor& a) {
   Tensor out(a.rows(), a.cols());
-  for (std::size_t i = 0; i < a.size(); ++i) out.data()[i] = std::tanh(a.data()[i]);
+  kernels::tanh_(out.data(), a.data(), a.size());
   return out;
 }
 

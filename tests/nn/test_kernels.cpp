@@ -1,14 +1,18 @@
 // Bit-identity pins of the SIMD chain kernels (src/nn/kernels.*): every
 // vectorized routine must produce byte-identical output to the scalar
-// fallback — the executor's original loops — on every size, including the
-// non-multiple-of-8 tails, special values (negative zero, infinities, NaN
-// for relu), and the matmul zero-skip. The suite compares the two dispatch
-// paths directly via the DEEPSEQ_NN_SIMD gate; on hosts without AVX2 both
-// paths are scalar and the pins hold trivially.
+// fallback — the executor's original loops and the activation polynomials —
+// on every size, including the non-multiple-of-8 tails, special values
+// (negative zero, infinities, NaN), and the matmul zero-skip. The suite
+// compares the two dispatch paths directly via the DEEPSEQ_NN_SIMD gate; on
+// hosts without AVX2 both paths are scalar and the pins hold trivially. The
+// activations are also held to an accuracy bound against double precision.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -137,6 +141,145 @@ TEST(Kernels, ReluParityIncludingSpecials) {
   });
 }
 
+/// Inputs where the activation polynomials change regime: NaNs (quiet with
+/// a payload, signaling, negative), infinities, signed zeros, subnormals,
+/// the exp clamp (88) and the classic Cephes expf clamp (88.38), where
+/// exp(-|x|) leaves the normal range (87.34), the tanh branch edge (0.625)
+/// and where tanh rounds to 1 (9).
+std::vector<float> activation_specials() {
+  std::vector<float> v{std::bit_cast<float>(0x7FC12345u), std::bit_cast<float>(0x7F812345u),
+                       std::bit_cast<float>(0xFFC54321u)};
+  const float magnitudes[] = {std::numeric_limits<float>::infinity(),
+                              0.0f,
+                              std::numeric_limits<float>::denorm_min(),
+                              1e-40f,
+                              std::numeric_limits<float>::min(),
+                              88.0f,
+                              88.38f,
+                              87.34f,
+                              0.625f,
+                              std::nextafter(0.625f, 0.0f),
+                              9.0f};
+  for (const float m : magnitudes) {
+    v.push_back(m);
+    v.push_back(-m);
+  }
+  return v;
+}
+
+/// pattern(n) with every other element replaced by a special, rotated by n
+/// so each special lands in both vector bodies and scalar tails.
+std::vector<float> activation_inputs(std::size_t n, std::uint32_t seed) {
+  const std::vector<float> specials = activation_specials();
+  std::vector<float> x = pattern(n, seed);
+  for (std::size_t i = 0; i < n; i += 2) x[i] = specials[(i / 2 + n) % specials.size()];
+  return x;
+}
+
+TEST(Kernels, ActivationParityIncludingSpecials) {
+  expect_simd_scalar_identical("sigmoid", [](std::size_t n) {
+    const auto x = activation_inputs(n, 50);
+    std::vector<float> o(n);
+    sigmoid(o.data(), x.data(), n);
+    return o;
+  });
+  expect_simd_scalar_identical("tanh", [](std::size_t n) {
+    const auto x = activation_inputs(n, 51);
+    std::vector<float> o(n);
+    tanh_(o.data(), x.data(), n);
+    return o;
+  });
+  // Every special in one call, through the vector body and the tail.
+  SimdGuard guard;
+  const std::vector<float> x = activation_specials();
+  for (const bool simd : {true, false}) {
+    set_simd(simd);
+    std::vector<float> o(x.size());
+    sigmoid(o.data(), x.data(), x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      EXPECT_EQ(std::isnan(o[i]), std::isnan(x[i])) << "sigmoid(" << x[i] << ")";
+    tanh_(o.data(), x.data(), x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      EXPECT_EQ(std::isnan(o[i]), std::isnan(x[i])) << "tanh(" << x[i] << ")";
+  }
+}
+
+/// Error of `got` in units of the float ulp at `ref` (a normal float value).
+double ulp_error(float got, double ref) {
+  int exp = 0;
+  std::frexp(ref, &exp);  // |ref| in [2^(exp-1), 2^exp)
+  return std::fabs(static_cast<double>(got) - ref) / std::ldexp(1.0, exp - 24);
+}
+
+TEST(Kernels, ActivationAccuracyOverStridedFloatSweep) {
+  // Every 1009th of the 2^32 float bit patterns (~4.3M values): all signs,
+  // exponents and NaN encodings, through the active dispatch path. Scalar
+  // and SIMD must agree on all of them before one path's accuracy counts.
+  SimdGuard guard;
+  std::vector<float> x;
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 1009)
+    x.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(b)));
+  std::vector<float> sig(x.size()), th(x.size()), sig_scalar(x.size()), th_scalar(x.size());
+  set_simd(true);
+  sigmoid(sig.data(), x.data(), x.size());
+  tanh_(th.data(), x.data(), x.size());
+  set_simd(false);
+  sigmoid(sig_scalar.data(), x.data(), x.size());
+  tanh_(th_scalar.data(), x.data(), x.size());
+  EXPECT_TRUE(bytes_equal(sig, sig_scalar)) << "sigmoid SIMD vs scalar over the sweep";
+  EXPECT_TRUE(bytes_equal(th, th_scalar)) << "tanh SIMD vs scalar over the sweep";
+
+  const double kMaxUlp = 3.0;
+  const double lo = std::numeric_limits<float>::min();
+  const double hi = std::numeric_limits<float>::max();
+  double worst_sig = 0.0, worst_tanh = 0.0;
+  float worst_sig_x = 0.0f, worst_tanh_x = 0.0f;
+  std::size_t nan_mismatch = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double xd = x[i];
+    if (std::isnan(x[i])) {
+      nan_mismatch += !std::isnan(sig[i]) + !std::isnan(th[i]);
+      continue;
+    }
+    const double sref = 1.0 / (1.0 + std::exp(-xd));
+    if (sref >= lo && sref <= hi) {
+      const double e = ulp_error(sig[i], sref);
+      if (e > worst_sig) {
+        worst_sig = e;
+        worst_sig_x = x[i];
+      }
+    }
+    const double tref = std::tanh(xd);
+    if (std::fabs(tref) >= lo && std::fabs(tref) <= hi) {
+      const double e = ulp_error(th[i], tref);
+      if (e > worst_tanh) {
+        worst_tanh = e;
+        worst_tanh_x = x[i];
+      }
+    }
+  }
+  EXPECT_EQ(nan_mismatch, 0u) << "NaN in must give NaN out";
+  EXPECT_LE(worst_sig, kMaxUlp) << "sigmoid worst at x=" << worst_sig_x;
+  EXPECT_LE(worst_tanh, kMaxUlp) << "tanh worst at x=" << worst_tanh_x;
+  RecordProperty("sigmoid_max_ulp", std::to_string(worst_sig));
+  RecordProperty("tanh_max_ulp", std::to_string(worst_tanh));
+
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> edges{inf, -inf, -0.0f};
+  std::vector<float> s(edges.size()), t(edges.size());
+  for (const bool simd : {true, false}) {
+    set_simd(simd);
+    sigmoid(s.data(), edges.data(), edges.size());
+    tanh_(t.data(), edges.data(), edges.size());
+    EXPECT_EQ(s[0], 1.0f);
+    EXPECT_EQ(s[1], 0.0f);
+    EXPECT_EQ(t[0], 1.0f);
+    EXPECT_EQ(t[1], -1.0f);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(t[2]), std::bit_cast<std::uint32_t>(-0.0f))
+        << "tanh(-0) must be -0";
+  }
+}
+
 TEST(Kernels, BackwardAccumulationParity) {
   expect_simd_scalar_identical("acc_add", [](std::size_t n) {
     auto dst = pattern(n, 10);
@@ -189,6 +332,46 @@ TEST(Kernels, MatmulParityWithZeroSkip) {
     EXPECT_TRUE(bytes_equal(vec, scl))
         << "matmul diverges at m=" << s.m << " k=" << s.k << " n=" << s.n;
   }
+  // n == 1 runs eight rows per lane block with a scalar row tail; k covers
+  // the 8-wide column blocks and their masked remainder. Two columns of A
+  // are all zeros (alternating signs) over rows of B that hold infinities,
+  // so every product there must be skipped; A also holds a NaN, a -0.0 and
+  // an all-zero row. out starts at -0.0, so a skip that adds +0.0 instead
+  // of leaving the accumulator alone flips that row's sign bit. B and out
+  // are read and written at a stride, the gaps filled with NaN.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const int m : {8, 9, 17, 33}) {
+    for (const int k : {7, 8, 9, 32, 33}) {
+      for (const int stride : {1, 3}) {
+        auto a = pattern(static_cast<std::size_t>(m) * k, 22);
+        std::vector<float> b(static_cast<std::size_t>(k) * stride, nan);
+        const auto bvals = pattern(static_cast<std::size_t>(k), 23);
+        for (int p = 0; p < k; ++p) b[static_cast<std::size_t>(p) * stride] = bvals[p];
+        for (std::size_t i = 0; i < a.size(); i += 5) a[i] = 0.0f;
+        for (const int p : {2, k - 1}) {
+          b[static_cast<std::size_t>(p) * stride] = p % 2 ? -inf : inf;
+          for (int i = 0; i < m; ++i) a[static_cast<std::size_t>(i) * k + p] = i % 2 ? -0.0f : 0.0f;
+        }
+        a[static_cast<std::size_t>(3) * k + 1] = nan;
+        a[static_cast<std::size_t>(5) * k + 3] = -0.0f;
+        std::fill_n(a.begin() + 6 * k, k, 0.0f);
+        auto run = [&](bool simd) {
+          set_simd(simd);
+          std::vector<float> out(static_cast<std::size_t>(m) * stride, nan);
+          for (int i = 0; i < m; ++i) out[static_cast<std::size_t>(i) * stride] = -0.0f;
+          matmul_rows(a.data(), k, b.data(), stride, out.data(), stride, 0, m, k, 1);
+          return out;
+        };
+        const auto vec = run(true), scl = run(false);
+        EXPECT_TRUE(bytes_equal(vec, scl))
+            << "matvec diverges at m=" << m << " k=" << k << " stride=" << stride;
+        EXPECT_TRUE(std::isnan(vec[3 * stride])) << "a NaN in row 3 must reach its output";
+        EXPECT_FALSE(std::isnan(vec[0])) << "skipped infinities must not reach row 0";
+        EXPECT_TRUE(std::signbit(vec[6 * stride])) << "an all-zero row keeps out's -0.0";
+      }
+    }
+  }
 }
 
 TEST(Kernels, MatmulRowRangeMatchesWhole) {
@@ -206,6 +389,18 @@ TEST(Kernels, MatmulRowRangeMatchesWhole) {
   matmul_rows(a.data(), k, b.data(), n, split.data(), n, 2, 5, k, n);
   matmul_rows(a.data(), k, b.data(), n, split.data(), n, 5, m, k, n);
   EXPECT_TRUE(bytes_equal(whole, split));
+
+  // n == 1 splits at rows 5 and 19, so the 8-row lane blocks of each slice
+  // start off the whole call's block grid.
+  const int mv = 21;
+  const auto av = pattern(static_cast<std::size_t>(mv) * k, 32);
+  const auto bv = pattern(static_cast<std::size_t>(k), 33);
+  std::vector<float> vwhole(mv, 0.0f), vsplit(mv, 0.0f);
+  matmul_rows(av.data(), k, bv.data(), 1, vwhole.data(), 1, 0, mv, k, 1);
+  matmul_rows(av.data(), k, bv.data(), 1, vsplit.data(), 1, 0, 5, k, 1);
+  matmul_rows(av.data(), k, bv.data(), 1, vsplit.data(), 1, 5, 19, k, 1);
+  matmul_rows(av.data(), k, bv.data(), 1, vsplit.data(), 1, 19, mv, k, 1);
+  EXPECT_TRUE(bytes_equal(vwhole, vsplit));
 }
 
 TEST(Kernels, RowFormulasSlicedMatchWholeOnBothPaths) {
