@@ -130,7 +130,7 @@ void write_json_file(const std::string& path, const std::string& json);
 /// Emit an obs::Summary as flat `<prefix>_{mean,p50,p90,p99,max}_ms` fields
 /// (plus `<prefix>_count`) — the one JSON shape every bench uses for a
 /// latency digest, backed by the same obs::Histogram percentile math as the
-/// server loop and the metrics export.
+/// metrics export.
 void json_summary(JsonWriter& json, const std::string& prefix,
                   const obs::Summary& s);
 

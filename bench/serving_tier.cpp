@@ -1,24 +1,22 @@
-// Serving-tier bench: closed-loop clients driving the fleet tier over real
-// loopback TCP — every request crosses the wire protocol, the shard router
-// and admission control, and is served by Session::run_sync inside a shard.
-// Reports p50/p99 latency per TaskKind, the shed rate, and per-shard cache
-// hit rates (the payoff of structural-hash routing), and emits
-// serving_tier.json for cross-commit tracking.
+// Serving-tier load client: closed-loop clients driving a running
+// serve_daemon over TCP — every request crosses the wire protocol, the
+// shard router and admission control, and is served by Session::run_sync
+// inside a shard. Reports p50/p99 latency per TaskKind and the shed rate,
+// and emits serving_tier.json. The daemon's own knobs (DEEPSEQ_SHARDS,
+// DEEPSEQ_SERVE_WORKERS, DEEPSEQ_QUEUE_DEPTH, the model preset) set the
+// shape being measured.
 //
-// Knobs: DEEPSEQ_TIER_REQUESTS   requests per TaskKind        (default 18)
-//        DEEPSEQ_TIER_CLIENTS    closed-loop client threads   (default 4)
-//        DEEPSEQ_TIER_SHARDS     Session shards               (default 2)
-//        DEEPSEQ_TIER_WORKERS    workers per shard            (default 2)
-//        DEEPSEQ_TIER_DEPTH      per-kind admission depth     (default 64;
-//                                undersize it to demo typed load shedding)
-//        DEEPSEQ_TIER_DEADLINE_MS  per-request server budget  (default 0)
-//        DEEPSEQ_TIER_CONNECT    "port" or "host:port" of an external
-//                                serve_daemon: bench an already-running
-//                                fleet instead of an in-process server
-//        DEEPSEQ_FULL=1          paper-scale model presets
+//   DEEPSEQ_PORT_FILE=/tmp/port ./build/examples/serve_daemon &
+//   DEEPSEQ_TIER_CONNECT=$(cat /tmp/port) ./build/bench/serving_tier
+//
+// Knobs: DEEPSEQ_TIER_CONNECT    "port" or "host:port" of the daemon,
+//                                port in 1..65535              (required)
+//        DEEPSEQ_TIER_REQUESTS   requests per TaskKind         (default 18)
+//        DEEPSEQ_TIER_CLIENTS    closed-loop client threads    (default 4)
 
 #include <array>
 #include <atomic>
+#include <charconv>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -28,11 +26,12 @@
 #include "api/session.hpp"
 #include "bench_util.hpp"
 #include "common/env.hpp"
+#include "common/error.hpp"
 #include "common/timer.hpp"
 #include "dataset/generator.hpp"
 #include "obs/metrics.hpp"
+#include "serve/admission.hpp"
 #include "serve/client.hpp"
-#include "serve/server.hpp"
 
 using namespace deepseq;
 using namespace deepseq::bench;
@@ -47,30 +46,44 @@ struct KindTally {
   std::atomic<std::uint64_t> failed{0};
 };
 
+struct Target {
+  std::string host = "127.0.0.1";
+  std::uint16_t port = 0;
+};
+
+/// DEEPSEQ_TIER_CONNECT as "port" or "host:port". The port must be all
+/// digits in 1..65535; anything else, unset included, throws naming the
+/// variable rather than wrapping to some other port.
+Target parse_connect(const std::string& value) {
+  Target t;
+  std::string port = value;
+  if (const auto colon = value.rfind(':'); colon != std::string::npos) {
+    t.host = value.substr(0, colon);
+    port = value.substr(colon + 1);
+  }
+  unsigned parsed = 0;
+  const char* end = port.data() + port.size();
+  const auto [ptr, ec] = std::from_chars(port.data(), end, parsed);
+  if (t.host.empty() || port.empty() || ec != std::errc() || ptr != end ||
+      parsed < 1 || parsed > 65535)
+    throw Error("DEEPSEQ_TIER_CONNECT='" + value +
+                "': expected \"port\" or \"host:port\" of a running "
+                "serve_daemon, port in 1..65535");
+  t.port = static_cast<std::uint16_t>(parsed);
+  return t;
+}
+
 }  // namespace
 
 int main() try {
-  const BenchConfig cfg = BenchConfig::from_env();
-  print_banner("SERVING TIER",
-               "closed-loop clients over loopback TCP: wire protocol, shard "
-               "routing, admission control",
-               cfg);
-
-  const int per_kind =
-      static_cast<int>(env_int("DEEPSEQ_TIER_REQUESTS", cfg.full ? 64 : 18));
+  const Target target = parse_connect(env_string("DEEPSEQ_TIER_CONNECT", ""));
+  const int per_kind = static_cast<int>(env_int("DEEPSEQ_TIER_REQUESTS", 18));
   const int num_clients = static_cast<int>(env_int("DEEPSEQ_TIER_CLIENTS", 4));
-  const int shards = static_cast<int>(env_int("DEEPSEQ_TIER_SHARDS", 2));
-  const int workers = static_cast<int>(env_int("DEEPSEQ_TIER_WORKERS", 2));
-  const std::size_t depth =
-      static_cast<std::size_t>(env_int("DEEPSEQ_TIER_DEPTH", 64));
-  const std::uint32_t deadline_ms =
-      static_cast<std::uint32_t>(env_int("DEEPSEQ_TIER_DEADLINE_MS", 0));
-  const std::string connect = env_string("DEEPSEQ_TIER_CONNECT", "");
 
   // Servable fleet: small AND/NOT netlists plus bounded workload pools, so
   // repeats are cacheable and shard-local warmth is measurable.
   const int num_circuits = 4, workloads_per_circuit = 2;
-  Rng rng(cfg.eval_seed);
+  Rng rng(777);
   std::vector<std::shared_ptr<const Circuit>> circuits;
   for (int i = 0; i < num_circuits; ++i) {
     GeneratorSpec spec;
@@ -89,35 +102,9 @@ int main() try {
     for (int k = 0; k < workloads_per_circuit; ++k)
       workloads[i].push_back(random_workload(*circuits[i], rng));
 
-  // In-process server on an ephemeral port, unless pointed at a live
-  // serve_daemon via DEEPSEQ_TIER_CONNECT.
-  std::unique_ptr<serve::Server> server;
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  if (connect.empty()) {
-    serve::ServeConfig scfg;
-    scfg.router.shards = shards;
-    scfg.router.workers_per_shard = workers;
-    scfg.router.admission.default_depth = depth;
-    scfg.router.session.engine.threads = 2;
-    scfg.router.session.backends.model =
-        ModelConfig::deepseq(cfg.hidden, cfg.iterations);
-    server = std::make_unique<serve::Server>(scfg);
-    port = server->port();
-  } else {
-    const auto colon = connect.find(':');
-    if (colon == std::string::npos) {
-      port = static_cast<std::uint16_t>(std::stoi(connect));
-    } else {
-      host = connect.substr(0, colon);
-      port = static_cast<std::uint16_t>(std::stoi(connect.substr(colon + 1)));
-    }
-  }
-  std::printf("target: %s:%u (%s), %d clients, %d requests x %d kinds, "
-              "depth %zu, deadline %u ms\n\n",
-              host.c_str(), static_cast<unsigned>(port),
-              connect.empty() ? "in-process" : "external", num_clients,
-              per_kind, kKinds, depth, deadline_ms);
+  std::printf("target: %s:%u, %d clients, %d requests x %d kinds\n\n",
+              target.host.c_str(), static_cast<unsigned>(target.port),
+              num_clients, per_kind, kKinds);
 
   // Deterministic request list, kinds interleaved so the per-kind queues
   // and the priority order are all exercised at once.
@@ -137,23 +124,27 @@ int main() try {
   }
 
   // Closed-loop drive: each client thread owns one connection and pulls the
-  // next request off the shared trace, waiting for every reply.
+  // next request off the shared trace, waiting for every reply. Connections
+  // open up front so an unreachable daemon fails the run here, in main.
+  std::vector<std::unique_ptr<serve::Client>> connections;
+  for (int t = 0; t < num_clients; ++t)
+    connections.push_back(
+        std::make_unique<serve::Client>(target.port, target.host));
   static std::array<obs::Histogram, kKinds> latency;  // ns
   std::array<KindTally, kKinds> tally;
   std::atomic<std::size_t> cursor{0};
   WallTimer wall;
   std::vector<std::thread> clients;
-  clients.reserve(static_cast<std::size_t>(num_clients));
-  for (int t = 0; t < num_clients; ++t) {
-    clients.emplace_back([&] {
-      serve::Client client(port, host);
+  clients.reserve(connections.size());
+  for (const auto& connection : connections) {
+    clients.emplace_back([&, client = connection.get()] {
       while (true) {
         const std::size_t i = cursor.fetch_add(1);
         if (i >= trace.size()) break;
         const int kind = static_cast<int>(trace[i].task);
         WallTimer rt;
         try {
-          (void)client.run(trace[i], deadline_ms);
+          (void)client->run(trace[i]);
           latency[static_cast<std::size_t>(kind)].record(
               static_cast<std::uint64_t>(rt.seconds() * 1e9));
           tally[static_cast<std::size_t>(kind)].completed.fetch_add(1);
@@ -176,9 +167,6 @@ int main() try {
   json.field("bench", "serving_tier");
   json.field("requests_per_kind", per_kind);
   json.field("clients", num_clients);
-  json.field("external", !connect.empty());
-  json.field("deadline_ms", static_cast<std::uint64_t>(deadline_ms));
-  json.field("queue_depth", static_cast<std::uint64_t>(depth));
   json.field("wall_seconds", wall_s);
 
   std::printf("%-14s | %9s %6s %6s | %9s %9s %9s\n", "kind", "completed",
@@ -225,29 +213,6 @@ int main() try {
   json.field("failed", total_failed);
   json.field("shed_rate", shed_rate);
   json.field("closed_loop_qps", qps);
-
-  // Per-shard readout (in-process mode): routing balance and the warm-cache
-  // payoff of structural-hash placement.
-  json.begin_array("per_shard");
-  if (server != nullptr) {
-    std::printf("\n%-6s | %7s %7s | %10s %10s\n", "shard", "served", "queued",
-                "embed hit", "struct hit");
-    std::printf("%.*s\n", 50, std::string(50, '-').c_str());
-    for (int s = 0; s < server->router().num_shards(); ++s) {
-      const serve::ShardRouter::ShardStats st = server->router().shard_stats(s);
-      std::printf("%-6d | %7llu %7zu | %9.0f%% %9.0f%%\n", s,
-                  static_cast<unsigned long long>(st.served), st.queued,
-                  100.0 * st.cache.embeddings.hit_rate(),
-                  100.0 * st.cache.structures.hit_rate());
-      json.begin_object();
-      json.field("shard", s);
-      json.field("served", st.served);
-      json.field("embedding_hit_rate", st.cache.embeddings.hit_rate());
-      json.field("structure_hit_rate", st.cache.structures.hit_rate());
-      json.end_object();
-    }
-  }
-  json.end_array();
   json.end_object();
   write_json_file("serving_tier.json", json.str());
   return total_completed > 0 ? 0 : 1;

@@ -7,12 +7,12 @@
 //   serve_daemon
 //
 // Knobs (environment):
-//   DEEPSEQ_PORT          TCP port; 0 = ephemeral            (default 0)
+//   DEEPSEQ_PORT          TCP port in 0..65535; 0 = ephemeral (default 0)
 //   DEEPSEQ_PORT_FILE     write the bound port here — how a supervisor or
 //                         CI discovers an ephemeral port      (default off)
 //   DEEPSEQ_SHARDS        Session shards                      (default 2)
 //   DEEPSEQ_SERVE_WORKERS worker threads per shard            (default 2)
-//   DEEPSEQ_QUEUE_DEPTH   per-kind admission queue depth      (default 64)
+//   DEEPSEQ_QUEUE_DEPTH   per-kind admission queue depth, >= 1 (default 64)
 //   DEEPSEQ_THREADS       engine threads inside each shard
 //   DEEPSEQ_HIDDEN, DEEPSEQ_T   model preset for seed-built backends
 //   DEEPSEQ_ARTIFACT_DIR  artifact store the reload endpoint resolves
@@ -20,16 +20,45 @@
 //
 // The daemon prints one line per lifecycle event and exits 0 on a clean
 // signal-driven shutdown (in-flight work drains; queued work is shed typed).
+// A port or queue depth that is unparsable or out of range exits 1 naming
+// the variable.
 
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "common/env.hpp"
+#include "common/error.hpp"
 #include "serve/server.hpp"
 
 using namespace deepseq;
+
+namespace {
+
+/// env_int restricted to [lo, hi]: a set value that does not parse or lies
+/// outside the range throws naming the variable, instead of being cast
+/// into some other port or queue depth.
+std::int64_t env_int_in(const char* name, std::int64_t fallback,
+                        std::int64_t lo, std::int64_t hi) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  const std::int64_t v = env_int(name, lo - 1);  // unparsable -> rejected
+  if (v < lo || v > hi) {
+    const std::string range =
+        hi == std::numeric_limits<std::int64_t>::max()
+            ? ">= " + std::to_string(lo)
+            : "in " + std::to_string(lo) + ".." + std::to_string(hi);
+    throw Error(std::string(name) + "='" + raw + "': expected an integer " +
+                range);
+  }
+  return v;
+}
+
+}  // namespace
 
 int main() try {
   // Block the shutdown signals BEFORE any thread exists so every server
@@ -41,12 +70,13 @@ int main() try {
   pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
 
   serve::ServeConfig cfg;
-  cfg.port = static_cast<std::uint16_t>(env_int("DEEPSEQ_PORT", 0));
+  cfg.port =
+      static_cast<std::uint16_t>(env_int_in("DEEPSEQ_PORT", 0, 0, 65535));
   cfg.router.shards = static_cast<int>(env_int("DEEPSEQ_SHARDS", 2));
   cfg.router.workers_per_shard =
       static_cast<int>(env_int("DEEPSEQ_SERVE_WORKERS", 2));
-  cfg.router.admission.default_depth =
-      static_cast<std::size_t>(env_int("DEEPSEQ_QUEUE_DEPTH", 64));
+  cfg.router.admission.default_depth = static_cast<std::size_t>(env_int_in(
+      "DEEPSEQ_QUEUE_DEPTH", 64, 1, std::numeric_limits<std::int64_t>::max()));
   cfg.router.session.engine.threads =
       static_cast<int>(env_int("DEEPSEQ_THREADS", 2));
   cfg.router.session.backends.model = ModelConfig::deepseq(
@@ -80,7 +110,8 @@ int main() try {
   return 0;
 } catch (const std::exception& e) {
   // e.g. a bad DEEPSEQ_ARTIFACT_DIR — the store fails construction fast,
-  // naming the variable and the offending file.
+  // naming the variable and the offending file — or an out-of-range
+  // DEEPSEQ_PORT / DEEPSEQ_QUEUE_DEPTH.
   std::fprintf(stderr, "serve_daemon: %s\n", e.what());
   return 1;
 }

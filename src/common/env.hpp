@@ -10,8 +10,8 @@ namespace deepseq {
 /// (DEEPSEQ_FULL, DEEPSEQ_EPOCHS, ...) without recompiling.
 std::int64_t env_int(const char* name, std::int64_t fallback);
 
-/// Read a floating-point environment variable (serving knobs like
-/// DEEPSEQ_QPS accept fractional rates), returning `fallback` when unset or
+/// Read a floating-point environment variable (knobs like
+/// DEEPSEQ_GEN_FF_RATIO take fractions), returning `fallback` when unset or
 /// unparsable.
 double env_double(const char* name, double fallback);
 

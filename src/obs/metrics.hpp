@@ -198,8 +198,8 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-/// to_json(Registry::global().snapshot()) — the export surface callers and
-/// the DEEPSEQ_METRICS printer use.
+/// to_json(Registry::global().snapshot()): every metric in the process as
+/// one JSON document.
 std::string snapshot_json();
 
 /// Bump "task.failed.<kind>" on the global registry. Out-of-line so the

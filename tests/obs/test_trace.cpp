@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -153,51 +154,76 @@ std::shared_ptr<const Circuit> shared_aig(std::uint64_t seed, int pis = 5) {
   return std::make_shared<const Circuit>(generate_circuit(spec, rng));
 }
 
-TEST(ObsSessionTrace, OneTaskYieldsACompleteSpanChain) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "deepseq_obs_span_chain.json")
-          .string();
-  TraceSink::global().clear();  // isolate from earlier tests in this binary
-  {
-    api::SessionConfig cfg = small_session();
+/// A Session config that traces to `path`, handed over either as
+/// SessionConfig::trace_path or, with that field left empty, as the
+/// DEEPSEQ_TRACE environment variable. Callers unset DEEPSEQ_TRACE again.
+api::SessionConfig traced_session(const std::string& path, bool via_env) {
+  api::SessionConfig cfg = small_session();
+  if (via_env)
+    ::setenv("DEEPSEQ_TRACE", path.c_str(), 1);
+  else
     cfg.trace_path = path;
-    api::Session session(cfg);
-    EXPECT_TRUE(tracing_enabled());
+  return cfg;
+}
 
-    const auto circuit = shared_aig(1);
-    Rng rng(9);
-    api::TaskRequest req;
-    req.circuit = circuit;
-    req.workload = random_workload(*circuit, rng);
-    req.task = api::TaskKind::kLogicProb;  // embed + regression head
-    req.init_seed = 7;
-    session.submit(std::move(req)).get();
-  }  // ~Session writes the dump
-  EXPECT_FALSE(tracing_enabled());  // prior (off) state restored
+const char* route_name(bool via_env) {
+  return via_env ? "DEEPSEQ_TRACE" : "SessionConfig::trace_path";
+}
 
-  const std::string doc = slurp(path);
-  ASSERT_FALSE(doc.empty());
-  EXPECT_TRUE(testing::valid_json(doc)) << doc;
-  // The full chain of one request, each stage present by name.
-  for (const char* span : {"\"submit\"", "\"queue\"", "\"resolve\"",
-                           "\"embed\"", "\"head\"", "\"task\""}) {
-    EXPECT_NE(doc.find(span), std::string::npos) << "missing span " << span;
+TEST(ObsSessionTrace, OneTaskYieldsACompleteSpanChain) {
+  ::unsetenv("DEEPSEQ_TRACE");
+  for (const bool via_env : {false, true}) {
+    SCOPED_TRACE(route_name(via_env));
+    const std::string path = (std::filesystem::temp_directory_path() /
+                              "deepseq_obs_span_chain.json")
+                                 .string();
+    TraceSink::global().clear();  // isolate from earlier tests in this binary
+    {
+      api::Session session(traced_session(path, via_env));
+      EXPECT_TRUE(tracing_enabled());
+
+      const auto circuit = shared_aig(1);
+      Rng rng(9);
+      api::TaskRequest req;
+      req.circuit = circuit;
+      req.workload = random_workload(*circuit, rng);
+      req.task = api::TaskKind::kLogicProb;  // embed + regression head
+      req.init_seed = 7;
+      session.submit(std::move(req)).get();
+    }  // ~Session writes the dump
+    ::unsetenv("DEEPSEQ_TRACE");
+    EXPECT_FALSE(tracing_enabled());  // prior (off) state restored
+
+    const std::string doc = slurp(path);
+    ASSERT_FALSE(doc.empty());
+    EXPECT_TRUE(testing::valid_json(doc)) << doc;
+    // The full chain of one request, each stage present by name.
+    for (const char* span : {"\"submit\"", "\"queue\"", "\"resolve\"",
+                             "\"embed\"", "\"head\"", "\"task\""}) {
+      EXPECT_NE(doc.find(span), std::string::npos) << "missing span " << span;
+    }
+    EXPECT_NE(doc.find("\"kind\":\"logic-prob\""), std::string::npos);
+    // Every span of the single submitted task carries the same task id.
+    const std::vector<std::uint64_t> ids = task_ids_in(doc);
+    ASSERT_GE(ids.size(), 6u);
+    for (std::uint64_t id : ids) EXPECT_EQ(id, ids.front());
+    std::filesystem::remove(path);
   }
-  EXPECT_NE(doc.find("\"kind\":\"logic-prob\""), std::string::npos);
-  // Every span of the single submitted task carries the same task id.
-  const std::vector<std::uint64_t> ids = task_ids_in(doc);
-  ASSERT_GE(ids.size(), 6u);
-  for (std::uint64_t id : ids) EXPECT_EQ(id, ids.front());
-  std::filesystem::remove(path);
 }
 
 TEST(ObsSessionTrace, UnwritableTracePathFailsSessionConstruction) {
-  api::SessionConfig cfg = small_session();
-  cfg.trace_path = "/nonexistent_dir_xyz123/trace.json";
-  EXPECT_THROW(api::Session session(cfg), Error);
+  ::unsetenv("DEEPSEQ_TRACE");
+  for (const bool via_env : {false, true}) {
+    SCOPED_TRACE(route_name(via_env));
+    const api::SessionConfig cfg =
+        traced_session("/nonexistent_dir_xyz123/trace.json", via_env);
+    EXPECT_THROW(api::Session session(cfg), Error);
+    ::unsetenv("DEEPSEQ_TRACE");
+  }
 }
 
 TEST(ObsSessionTrace, TaskCountersBalanceAcrossSuccessAndFailure) {
+  ::unsetenv("DEEPSEQ_TRACE");  // the untraced path: spans stay off
   const Snapshot base = Registry::global().snapshot();
   {
     api::Session session(small_session());
@@ -210,6 +236,7 @@ TEST(ObsSessionTrace, TaskCountersBalanceAcrossSuccessAndFailure) {
     ok.workload = random_workload(*circuit, rng);
     ok.task = api::TaskKind::kEmbedding;
     session.submit(ok).get();
+    EXPECT_FALSE(tracing_enabled());
 
     api::TaskRequest bad = ok;
     bad.workload = random_workload(*other, rng);  // PI mismatch: must throw

@@ -13,6 +13,7 @@
 #include "netlist/aig.hpp"
 #include "netlist/topology.hpp"
 #include "nn/graph.hpp"
+#include "obs/metrics.hpp"
 
 namespace deepseq::runtime {
 namespace {
@@ -83,9 +84,19 @@ TEST(InferenceEngine, BatchedMatchesSequentialBitIdentical) {
     requests.push_back(std::move(r));
   }
 
+  const obs::Snapshot base = obs::Registry::global().snapshot();
   std::vector<std::future<EmbeddingResult>> futures;
   for (const auto& r : requests) futures.push_back(engine.submit(r));
   engine.drain();
+
+  // Batch accounting: every request passes through exactly one batch, and
+  // each dispatched batch records its size once.
+  const obs::Snapshot d = obs::delta(obs::Registry::global().snapshot(), base);
+  const obs::HistogramSnapshot& sizes = d.histograms.at("engine.batch_size");
+  EXPECT_EQ(sizes.sum, requests.size());
+  EXPECT_GE(sizes.count, 1u);
+  EXPECT_EQ(sizes.count, d.counters.at("engine.batches"));
+  EXPECT_LE(sizes.max, static_cast<std::uint64_t>(engine.config().max_batch));
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const EmbeddingResult got = futures[i].get();
