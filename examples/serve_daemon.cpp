@@ -10,18 +10,19 @@
 //   DEEPSEQ_PORT          TCP port in 0..65535; 0 = ephemeral (default 0)
 //   DEEPSEQ_PORT_FILE     write the bound port here — how a supervisor or
 //                         CI discovers an ephemeral port      (default off)
-//   DEEPSEQ_SHARDS        Session shards                      (default 2)
-//   DEEPSEQ_SERVE_WORKERS worker threads per shard            (default 2)
+//   DEEPSEQ_SHARDS        Session shards, 1..256              (default 2)
+//   DEEPSEQ_SERVE_WORKERS worker threads per shard, 1..256    (default 2)
 //   DEEPSEQ_QUEUE_DEPTH   per-kind admission queue depth, >= 1 (default 64)
-//   DEEPSEQ_THREADS       engine threads inside each shard
-//   DEEPSEQ_HIDDEN, DEEPSEQ_T   model preset for seed-built backends
+//   DEEPSEQ_THREADS       nn helper threads per shard, 1..256 (default 2)
+//   DEEPSEQ_HIDDEN        model hidden size, 1..1024          (default 32)
+//   DEEPSEQ_T             propagation iterations, 1..64       (default 4)
+//                         (HIDDEN and T preset seed-built backends)
 //   DEEPSEQ_ARTIFACT_DIR  artifact store the reload endpoint resolves
 //                         "name@hash" refs against (strict fail-fast)
 //
 // The daemon prints one line per lifecycle event and exits 0 on a clean
 // signal-driven shutdown (in-flight work drains; queued work is shed typed).
-// A port or queue depth that is unparsable or out of range exits 1 naming
-// the variable.
+// A knob that is unparsable or out of range exits 1 naming the variable.
 
 #include <csignal>
 #include <cstdio>
@@ -41,7 +42,7 @@ namespace {
 
 /// env_int restricted to [lo, hi]: a set value that does not parse or lies
 /// outside the range throws naming the variable, instead of being cast
-/// into some other port or queue depth.
+/// into some other value or serving a degenerate model.
 std::int64_t env_int_in(const char* name, std::int64_t fallback,
                         std::int64_t lo, std::int64_t hi) {
   const char* raw = std::getenv(name);
@@ -72,16 +73,16 @@ int main() try {
   serve::ServeConfig cfg;
   cfg.port =
       static_cast<std::uint16_t>(env_int_in("DEEPSEQ_PORT", 0, 0, 65535));
-  cfg.router.shards = static_cast<int>(env_int("DEEPSEQ_SHARDS", 2));
+  cfg.router.shards = static_cast<int>(env_int_in("DEEPSEQ_SHARDS", 2, 1, 256));
   cfg.router.workers_per_shard =
-      static_cast<int>(env_int("DEEPSEQ_SERVE_WORKERS", 2));
+      static_cast<int>(env_int_in("DEEPSEQ_SERVE_WORKERS", 2, 1, 256));
   cfg.router.admission.default_depth = static_cast<std::size_t>(env_int_in(
       "DEEPSEQ_QUEUE_DEPTH", 64, 1, std::numeric_limits<std::int64_t>::max()));
   cfg.router.session.engine.threads =
-      static_cast<int>(env_int("DEEPSEQ_THREADS", 2));
+      static_cast<int>(env_int_in("DEEPSEQ_THREADS", 2, 1, 256));
   cfg.router.session.backends.model = ModelConfig::deepseq(
-      static_cast<int>(env_int("DEEPSEQ_HIDDEN", 32)),
-      static_cast<int>(env_int("DEEPSEQ_T", 4)));
+      static_cast<int>(env_int_in("DEEPSEQ_HIDDEN", 32, 1, 1024)),
+      static_cast<int>(env_int_in("DEEPSEQ_T", 4, 1, 64)));
 
   serve::Server server(cfg);
   std::printf("[daemon] serving on 127.0.0.1:%u (%d shards x %d workers, "
@@ -110,8 +111,7 @@ int main() try {
   return 0;
 } catch (const std::exception& e) {
   // e.g. a bad DEEPSEQ_ARTIFACT_DIR — the store fails construction fast,
-  // naming the variable and the offending file — or an out-of-range
-  // DEEPSEQ_PORT / DEEPSEQ_QUEUE_DEPTH.
+  // naming the variable and the offending file — or an out-of-range knob.
   std::fprintf(stderr, "serve_daemon: %s\n", e.what());
   return 1;
 }

@@ -1,8 +1,9 @@
 // Multi-task serving demo: one deepseq::api::Session answers every
-// TaskKind for the same circuit — embeddings, per-node logic/transition
-// probabilities, model-predicted power, model-only reliability, and SCOAP
-// testability — sharing one cached structure resolve (and one cached
-// forward pass across the embedding-consuming tasks).
+// TaskKind for the same circuit, one after another — embeddings, per-node
+// logic/transition probabilities, model-predicted power, model-only
+// reliability, and SCOAP testability — sharing one cached structure
+// resolve (and one cached forward pass across the embedding-consuming
+// tasks).
 //
 //   serve_tasks [netlist.bench|.aag|.aig]
 //
@@ -12,7 +13,6 @@
 
 #include <cstdio>
 #include <exception>
-#include <future>
 #include <string>
 #include <vector>
 
@@ -69,8 +69,8 @@ int main(int argc, char** argv) try {
   Rng rng(11);
   const Workload workload = random_workload(*aig, rng);
 
-  // Submit every task kind the backend supports concurrently; they
-  // coalesce into one batch and share the structure resolve.
+  // Run every task kind the backend supports, one after another; they
+  // share one structure resolve.
   const api::BackendInfo& info = session.backend().info();
   std::vector<api::TaskKind> tasks = {api::TaskKind::kEmbedding,
                                       api::TaskKind::kTestability};
@@ -80,19 +80,13 @@ int main(int argc, char** argv) try {
     tasks.push_back(api::TaskKind::kPower);
   }
   if (info.supports_reliability) tasks.push_back(api::TaskKind::kReliability);
-  std::vector<std::future<api::TaskResult>> futures;
   for (const api::TaskKind task : tasks) {
     api::TaskRequest req;
     req.circuit = aig;
     req.workload = workload;
     req.task = task;
     req.init_seed = 7;
-    futures.push_back(session.submit(std::move(req)));
-  }
-  session.drain();
-
-  for (auto& f : futures) {
-    const api::TaskResult r = f.get();
+    const api::TaskResult r = session.run_sync(req);
     std::printf("%-16s %7.2f ms  ", task_name(r.task), r.total_ms);
     switch (r.task) {
       case api::TaskKind::kEmbedding: {

@@ -21,15 +21,14 @@ double ms_between(std::chrono::steady_clock::time_point t0,
 constexpr int kNumTaskKinds = 6;
 
 /// Per-TaskKind serving metrics on the process-wide registry: submit/
-/// complete/fail counters and total/queue/compute latency histograms
-/// (recorded in ns; names carry the kind, e.g. "task.submitted.power").
-/// Resolved once per process; recording is lock-free.
+/// complete/fail counters and total/compute latency histograms (recorded
+/// in ns; names carry the kind, e.g. "task.submitted.power"). Resolved once
+/// per process; recording is lock-free.
 struct TaskMetrics {
   obs::Counter* submitted;
   obs::Counter* completed;
   obs::Counter* failed;
   obs::Histogram* total_ns;
-  obs::Histogram* queue_ns;
   obs::Histogram* compute_ns;
 };
 
@@ -43,7 +42,6 @@ const TaskMetrics& task_metrics(TaskKind k) {
                          &reg.counter("task.completed." + kind),
                          &reg.counter("task.failed." + kind),
                          &reg.histogram("task.total_ns." + kind),
-                         &reg.histogram("task.queue_ns." + kind),
                          &reg.histogram("task.compute_ns." + kind)};
     }
     return a;
@@ -91,7 +89,7 @@ Session::Session(const SessionConfig& config, BackendRegistry& registry)
     : config_(config), registry_(registry), engine_(config.engine) {
   // Fail fast on a misconfigured default and have it ready before the first
   // request (backend construction builds model weights — not something to
-  // pay inside a latency-sensitive first submit).
+  // pay inside a latency-sensitive first request).
   config_.backend = registry_.resolve(config_.backend, "deepseq");
   (void)backend(config_.backend);
   // Tracing: explicit config wins, else the DEEPSEQ_TRACE env knob. The
@@ -108,10 +106,6 @@ Session::Session(const SessionConfig& config, BackendRegistry& registry)
 
 Session::~Session() {
   if (trace_path_.empty()) return;
-  // Capture every span of still-in-flight tasks before dumping (engine_ is
-  // destroyed after this body, but its drain is what orders the last
-  // recorded events before the export).
-  engine_.drain();
   try {
     obs::write_chrome_trace(trace_path_);
   } catch (const std::exception& e) {
@@ -134,7 +128,7 @@ std::shared_ptr<const EmbeddingBackend> Session::backend_handle(
   }
   // Construct outside the lock: building a backend means building model
   // weights, and holding backends_mu_ through that would stall every
-  // concurrent submit (including ones for already-built backends). If two
+  // concurrent request (including ones for already-built backends). If two
   // threads race, both build deterministically identical backends and the
   // first insert wins.
   std::shared_ptr<EmbeddingBackend> created =
@@ -176,10 +170,8 @@ std::uint64_t Session::reload_weights(
                   "live, or the '" + key +
                   "' factory ignores BackendOptions::artifact");
   }
-  // Let already-submitted batches finish on the weights they were submitted
-  // against (each in-flight completion owns a handle on its instance, so
-  // the swap below can never pull weights out from under a forward pass).
-  engine_.drain();
+  // Running run_sync calls each own a handle on the instance they started
+  // with, so the swap never pulls weights out from under a forward pass.
   {
     std::lock_guard<std::mutex> lock(backends_mu_);
     backends_[key] = std::move(replacement);
@@ -230,7 +222,6 @@ TaskResult Session::finish(const TaskRequest& request,
   result.structure = er.structure;
   result.structure_cache_hit = er.structure_cache_hit;
   result.embedding_cache_hit = er.embedding_cache_hit;
-  result.queue_ms = er.queue_ms;
 
   // Probability heads are cached under the request's EmbeddingKey, beside
   // the embedding itself: the shared_ptr aliasing below hands out views into
@@ -289,18 +280,16 @@ TaskResult Session::finish(const TaskRequest& request,
   }
 
   const auto head_end = std::chrono::steady_clock::now();
-  const double head_ms = ms_between(head_start, head_end);
-  result.compute_ms = er.compute_ms + head_ms;
-  result.total_ms = er.total_ms + head_ms;
+  result.compute_ms = er.compute_ms + ms_between(head_start, head_end);
+  result.total_ms = result.compute_ms;
 
   // Completion accounting: counters and latency histograms per kind, plus
   // the last two spans of the task's trace chain — "head" (this task head)
-  // and the whole-task "task" span (submit -> fulfilled) that ties the
-  // chain together in the Chrome trace.
+  // and the whole-task "task" span that ties the chain together in the
+  // Chrome trace.
   const TaskMetrics& metrics = task_metrics(request.task);
   metrics.completed->inc();
   metrics.total_ns->record_ms(result.total_ms);
-  metrics.queue_ns->record_ms(result.queue_ms);
   metrics.compute_ns->record_ms(result.compute_ms);
   if (er.trace.kind != nullptr && obs::tracing_enabled()) {
     obs::TraceEvent head;
@@ -330,44 +319,6 @@ TaskResult Session::finish(const TaskRequest& request,
   return result;
 }
 
-std::future<TaskResult> Session::submit(TaskRequest request) {
-  const TaskMetrics& metrics = task_metrics(request.task);
-  metrics.submitted->inc();
-  runtime::EmbeddingRequest er;
-  std::shared_ptr<const EmbeddingBackend> be;
-  try {
-    // The completion owns the handle: the instance this task was submitted
-    // against stays alive (and its weights untouched) through the forward
-    // pass and task head even if reload_weights swaps the name meanwhile.
-    be = backend_handle(request.backend);
-    er = to_engine_request(request, *be);
-  } catch (...) {
-    // Fail-fast rejections (unknown backend, unsupported task/backend
-    // combination) still balance: submitted == completed + failed.
-    metrics.failed->inc();
-    throw;
-  }
-  er.trace.kind = task_name(request.task);
-  er.trace.backend_fingerprint = be->info().fingerprint;
-  if (obs::tracing_enabled()) {
-    // Task ids exist for span attribution only: the global id counter is a
-    // shared cache line, so the untraced hot path never touches it.
-    er.trace.task_id = obs::next_task_id();
-    obs::TraceEvent e;
-    e.name = "submit";
-    e.ph = 'i';
-    e.ts_ns = obs::trace_now_ns();
-    e.ctx = er.trace;
-    obs::TraceSink::global().record(e);
-  }
-  return engine_.submit_then(
-      std::move(er),
-      [this, request = std::move(request),
-       be = std::move(be)](runtime::EmbeddingResult&& result) {
-        return finish(request, *be, std::move(result));
-      });
-}
-
 TaskResult Session::run_sync(const TaskRequest& request) {
   const TaskMetrics& metrics = task_metrics(request.task);
   metrics.submitted->inc();
@@ -378,15 +329,14 @@ TaskResult Session::run_sync(const TaskRequest& request) {
     er.trace.kind = task_name(request.task);
     er.trace.backend_fingerprint = be->info().fingerprint;
     if (obs::tracing_enabled()) er.trace.task_id = obs::next_task_id();
-    return finish(request, *be, engine_.run_sync(std::move(er)));
+    // One scope over the embed and the task head, so both flush on the
+    // session's executor rather than nn::Executor::global().
+    nn::ExecutorScope nn_scope(engine_.executor());
+    return finish(request, *be, engine_.run_sync(er));
   } catch (...) {
     metrics.failed->inc();
     throw;
   }
 }
-
-void Session::flush() { engine_.flush(); }
-
-void Session::drain() { engine_.drain(); }
 
 }  // namespace deepseq::api

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -86,9 +85,11 @@ struct TaskResult {
   /// the embedding): warm logic/transition-prob/power requests skip the
   /// two-head MLP forward entirely.
   bool regression_cache_hit = false;
+  /// Always 0: a Session computes each task on its caller's thread, so a
+  /// task's time is all compute. Kept on the wire and in the reply.
   double queue_ms = 0.0;
   double compute_ms = 0.0;  // embed/structure resolve + task head
-  double total_ms = 0.0;
+  double total_ms = 0.0;    // queue_ms + compute_ms
 
   /// Typed access: `result.as<PowerOutput>()`. Throws
   /// std::bad_variant_access on a task/type mismatch.
@@ -105,13 +106,13 @@ struct SessionConfig {
   std::string backend = "deepseq";
   /// Construction presets handed to backend factories.
   BackendOptions backends;
-  /// Scheduler knobs (threads, batch window, cache capacities).
+  /// Engine knobs (nn helper threads, cache capacities).
   runtime::EngineConfig engine;
   /// SAIF duration (cycles) power predictions are reported over.
   long long power_duration = 10000;
   ScoapOptions scoap;
   /// Dump a Chrome trace-event / Perfetto-compatible JSON of every task's
-  /// span chain (submit -> queue -> resolve -> embed -> head) to this path
+  /// span chain (resolve -> embed -> head -> task) to this path
   /// on Session destruction. Empty resolves the DEEPSEQ_TRACE environment
   /// variable (strict: an unwritable path fails Session construction,
   /// naming the variable and path); empty both ways disables tracing —
@@ -120,52 +121,42 @@ struct SessionConfig {
 };
 
 /// The public serving surface: one Session owns the backend instances (all
-/// created through the registry), the batched scheduler and its caches, and
-/// serves every TaskKind through one submit/run_sync pair. All task kinds
-/// against the same circuit share one cached structure resolve, and
-/// embedding-consuming tasks (logic/transition probability, power) share
-/// one cached forward pass. All public methods are thread-safe.
+/// created through the registry), the inference engine and its caches, and
+/// serves every TaskKind through run_sync on the caller's thread (the serve
+/// tier's shard workers are those callers). All task kinds against the same
+/// circuit share one cached structure resolve, and embedding-consuming
+/// tasks (logic/transition probability, power) share one cached forward
+/// pass. All public methods are thread-safe.
 class Session {
  public:
   explicit Session(const SessionConfig& config = {},
                    BackendRegistry& registry = BackendRegistry::global());
 
-  /// Drains in-flight work; when tracing was enabled (trace_path /
-  /// DEEPSEQ_TRACE), writes the Chrome-trace dump and restores the prior
-  /// global tracing state (I/O failures are reported on stderr — a
-  /// destructor never throws).
+  /// When tracing was enabled (trace_path / DEEPSEQ_TRACE), writes the
+  /// Chrome-trace dump and restores the prior global tracing state (I/O
+  /// failures are reported on stderr — a destructor never throws). No
+  /// run_sync call may still be running.
   ~Session();
 
   const SessionConfig& config() const { return config_; }
 
-  /// Enqueue a task; the future is fulfilled by a worker thread after the
-  /// coalesced batch it joins is processed. Unknown backend names and
-  /// unsupported task/backend combinations throw here (fail fast), compute
-  /// errors surface through the future.
-  std::future<TaskResult> submit(TaskRequest request);
-
-  /// Dispatch any partial batch immediately.
-  void flush();
-
-  /// flush() + block until every submitted task is fulfilled.
-  void drain();
-
-  /// Reference path: compute one task synchronously on the calling thread
-  /// through the same cache and backends. Bit-identical to submit().
+  /// Compute one task on the calling thread: structure resolve, embed and
+  /// task head all run under one nn::ExecutorScope on the engine's
+  /// executor (EngineConfig::nn_threads). Unknown backend names,
+  /// unsupported task/backend combinations and compute errors throw.
   TaskResult run_sync(const TaskRequest& request);
 
   /// Zero-downtime weight push: build a replacement backend instance from
   /// the artifact through the registry (same name, the session's options
-  /// with the artifact swapped in), drain the in-flight batches, then
-  /// atomically swap the serving instance. Tasks submitted before the swap
-  /// complete on the weights they were submitted against — their results
-  /// and cache entries stay keyed by the old fingerprint, nothing is
-  /// dropped — and every later submit is served by the new weights under
-  /// the artifact-derived fingerprint (returned). Empty name = the session
-  /// default backend; a kind/architecture mismatch — or a push that leaves
-  /// the fingerprint unchanged (weights already live, or a custom factory
-  /// that ignores BackendOptions::artifact) — throws before anything is
-  /// swapped.
+  /// with the artifact swapped in), then atomically swap the serving
+  /// instance. run_sync calls already running hold their own handle and
+  /// finish on the old weights — their results and cache entries stay keyed
+  /// by the old fingerprint, nothing is dropped — and every call that starts
+  /// after the swap is served by the new weights under the artifact-derived
+  /// fingerprint (returned). Empty name = the session default backend; a
+  /// kind/architecture mismatch — or a push that leaves the fingerprint
+  /// unchanged (weights already live, or a custom factory that ignores
+  /// BackendOptions::artifact) — throws before anything is swapped.
   std::uint64_t reload_weights(
       std::shared_ptr<const artifact::Artifact> artifact,
       const std::string& name = "");
@@ -190,8 +181,8 @@ class Session {
     return engine_.cache_stats();
   }
   int num_threads() const { return engine_.num_threads(); }
-  /// Intra-circuit nn-executor threads (shared pool; EngineConfig::nn_threads
-  /// / DEEPSEQ_NN_THREADS).
+  /// Intra-circuit nn-executor threads (EngineConfig::nn_threads /
+  /// DEEPSEQ_NN_THREADS).
   int nn_threads() const { return engine_.nn_threads(); }
 
  private:
@@ -206,15 +197,13 @@ class Session {
   /// untouched by this session.
   std::string trace_path_;
   bool tracing_prev_ = false;
-  /// Serializes reload_weights pushes (held across build/guard/drain/swap;
-  /// always acquired before backends_mu_).
+  /// Serializes reload_weights pushes (held across build/guard/swap; always
+  /// acquired before backends_mu_).
   std::mutex reload_mu_;
   mutable std::mutex backends_mu_;
   // The instances currently serving each name. Shared ownership is what
-  // makes reload_weights safe: in-flight completions hold their own
-  // handle, so a replaced instance stays alive until its last task
-  // finishes. Destroyed AFTER engine_ (declared before it), so worker
-  // references stay valid through engine teardown.
+  // makes reload_weights safe: each run_sync call holds its own handle, so
+  // a replaced instance stays alive until its last task finishes.
   std::map<std::string, std::shared_ptr<EmbeddingBackend>> backends_;
   runtime::InferenceEngine engine_;
 };

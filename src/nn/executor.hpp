@@ -126,8 +126,8 @@ class Executor {
 };
 
 /// RAII thread-local executor override: Graphs flushed on this thread while
-/// the scope is alive use `e` (the serving layer threads its shared worker
-/// pool into the nn layer this way).
+/// the scope is alive use `e` (api::Session runs each task's embed and head
+/// on its engine's executor this way).
 class ExecutorScope {
  public:
   explicit ExecutorScope(Executor& e);

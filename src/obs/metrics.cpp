@@ -248,9 +248,4 @@ Snapshot Registry::snapshot() const {
 
 std::string snapshot_json() { return to_json(Registry::global().snapshot()); }
 
-void count_task_failed(const char* kind) {
-  if (kind == nullptr) return;
-  Registry::global().counter(std::string("task.failed.") + kind).inc();
-}
-
 }  // namespace deepseq::obs

@@ -202,9 +202,4 @@ class Registry {
 /// one JSON document.
 std::string snapshot_json();
 
-/// Bump "task.failed.<kind>" on the global registry. Out-of-line so the
-/// templated scheduler paths (InferenceEngine::submit_then) can count
-/// failures without pulling registry lookups into the header.
-void count_task_failed(const char* kind);
-
 }  // namespace deepseq::obs

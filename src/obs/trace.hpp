@@ -24,12 +24,11 @@ std::uint64_t trace_now_ns();
 std::uint64_t to_trace_ns(std::chrono::steady_clock::time_point tp);
 
 /// The per-task identity a trace span carries: assigned in
-/// api::Session::submit/run_sync and propagated by value through the
-/// engine's request/result structs so every stage of one request — queue,
-/// cache resolve, embed/chain-execute, head compute — records spans
-/// attributable to the same task. `kind` points at a static task name
-/// (api::task_name); a null kind marks an untraced request (engine-level
-/// callers that bypass the Session).
+/// api::Session::run_sync and propagated by value through the engine's
+/// request/result structs so every stage of one request — cache resolve,
+/// embed, head compute — records spans attributable to the same task.
+/// `kind` points at a static task name (api::task_name); a null kind marks
+/// an untraced request (engine-level callers that bypass the Session).
 struct TaskContext {
   std::uint64_t task_id = 0;
   const char* kind = nullptr;

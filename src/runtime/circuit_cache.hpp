@@ -40,10 +40,8 @@ struct CacheCounters {
 ///
 /// get_or_build() runs the builder OUTSIDE the shard lock: two threads
 /// missing the same key concurrently may both build (last insert wins,
-/// both callers get a usable value). The serving layer coalesces identical
-/// requests into one batch before they reach the cache, which makes that
-/// duplication rare in practice and keeps the lock never held across
-/// expensive work.
+/// both callers get a usable value). That wastes one build at worst and
+/// keeps the lock from ever being held across expensive work.
 template <typename Key, typename Value>
 class ShardedLruCache {
  public:

@@ -49,16 +49,6 @@ void ThreadPool::submit(std::function<void()> task) {
   work_ready_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-std::size_t ThreadPool::completed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return completed_;
-}
-
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -67,14 +57,10 @@ void ThreadPool::worker_loop() {
     std::function<void()> task = std::move(queue_.front());
     queue_.pop_front();
     PoolMetrics::get().queue_depth.set(static_cast<std::int64_t>(queue_.size()));
-    ++in_flight_;
     lock.unlock();
     task();
     PoolMetrics::get().tasks.inc();
     lock.lock();
-    --in_flight_;
-    ++completed_;
-    if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
   }
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
@@ -12,13 +11,12 @@
 
 namespace deepseq::runtime {
 
-/// Fixed-size worker pool over a lock-based MPMC task queue — the execution
-/// substrate of the serving layer. Design points:
+/// Fixed-size worker pool over a lock-based MPMC task queue — the helpers
+/// nn::Executor and the ingest frontend fan work out to. Design points:
 ///
 /// * submit() is safe from any thread, including from inside a task (the
 ///   queue lock is never held while running user work).
-/// * wait_idle() blocks until the queue is empty AND no task is executing —
-///   the barrier the batched inference engine uses between waves.
+/// * Destruction runs every queued task before joining the workers.
 /// * Tasks must not throw; submit_with_result() transports exceptions
 ///   through its std::future instead.
 class ThreadPool {
@@ -45,23 +43,12 @@ class ThreadPool {
     return future;
   }
 
-  /// Block until every submitted task has finished. Safe to call
-  /// concurrently with submit(); returns once a momentarily-idle state is
-  /// observed.
-  void wait_idle();
-
-  /// Tasks executed so far (monotonic; for stats and tests).
-  std::size_t completed() const;
-
  private:
   void worker_loop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_ready_;
-  std::condition_variable idle_;
   std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;   // tasks popped but not yet finished
-  std::size_t completed_ = 0;
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

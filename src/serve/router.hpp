@@ -10,8 +10,8 @@
 // from the same netlists forever.
 //
 // Each shard runs its own AdmissionQueue and worker threads; workers serve
-// jobs through Session::run_sync (the bit-identical reference path), so a
-// routed result is exactly what a direct in-process call produces.
+// jobs through Session::run_sync, so a routed result is exactly what a
+// direct in-process call produces.
 
 #include <atomic>
 #include <cstdint>
@@ -74,9 +74,9 @@ class ShardRouter {
   void submit(api::TaskRequest request, std::uint64_t deadline_ns,
               std::function<void(RoutedOutcome&&)> done);
 
-  /// Coordinated weight push: rebuild + drain + swap on EVERY shard (each
-  /// shard's Session::reload_weights drains its in-flight work before the
-  /// atomic instance swap, so nothing is dropped anywhere). Returns the new
+  /// Coordinated weight push: rebuild + swap on EVERY shard (tasks a
+  /// shard is already running keep their own backend handle and finish on
+  /// the old weights, so nothing is dropped anywhere). Returns the new
   /// serving fingerprint, identical across shards. Throws on the first
   /// failing shard, leaving earlier shards flipped. Within one call, a
   /// shard that already serves the fingerprint an earlier shard flipped to

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/backends.hpp"
@@ -19,6 +21,7 @@
 #include "dataset/generator.hpp"
 #include "netlist/aig.hpp"
 #include "nn/graph.hpp"
+#include "obs/metrics.hpp"
 
 namespace deepseq::api {
 namespace {
@@ -168,6 +171,15 @@ TEST(ArtifactServing, TrainerSaveArtifactEmbedsProvenance) {
 
 // ---- hot reload -------------------------------------------------------------
 
+/// The logic-prob head output `model` produces for `req`.
+nn::Tensor logic_prob(const DeepSeqModel& model, const TaskRequest& req) {
+  nn::Graph g(false);
+  return model
+      .regress(g, model.embed(g, build_circuit_graph(*req.circuit),
+                              req.workload, req.init_seed))
+      .lg->value;
+}
+
 TEST(ArtifactServing, ReloadWeightsSwapsFingerprintAndResultsWithoutDrops) {
   SessionConfig cfg;
   cfg.engine.threads = 2;
@@ -177,18 +189,59 @@ TEST(ArtifactServing, ReloadWeightsSwapsFingerprintAndResultsWithoutDrops) {
   const std::uint64_t seed_fingerprint = session.backend().info().fingerprint;
   EXPECT_EQ(session.backend().info().weights, "seed");
 
-  // In-flight load across several circuits, submitted before the push.
-  std::vector<std::shared_ptr<const Circuit>> circuits;
-  std::vector<std::future<TaskResult>> inflight;
-  for (std::uint64_t s = 1; s <= 6; ++s) {
-    circuits.push_back(shared_aig(s));
-    inflight.push_back(
-        session.submit(make_request(circuits.back(), TaskKind::kLogicProb, s)));
-  }
-
+  // The bytes each request must produce under the old and the new weights.
+  const DeepSeqModel untuned(small_model());
   const DeepSeqModel tuned = tuned_model();
   const auto art = artifact_for(tuned, "reload.dsqa");
+  std::vector<TaskRequest> requests;
+  std::vector<nn::Tensor> old_bytes, new_bytes;
+  for (std::uint64_t s = 1; s <= 3; ++s) {
+    requests.push_back(make_request(shared_aig(s), TaskKind::kLogicProb, s));
+    old_bytes.push_back(logic_prob(untuned, requests.back()));
+    new_bytes.push_back(logic_prob(tuned, requests.back()));
+  }
+
+  // Callers loop run_sync across the push. Each call records whether it
+  // began after reload_weights returned and which weights it was served by.
+  constexpr int kCallers = 3;
+  const obs::Snapshot base = obs::Registry::global().snapshot();
+  std::atomic<bool> reloaded{false}, stop{false};
+  std::array<std::atomic<int>, kCallers> calls{}, calls_after{};
+  std::array<int, kCallers> old_served{}, foreign{}, stale_after{};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (std::size_t i = static_cast<std::size_t>(t); !stop.load(); ++i) {
+        const std::size_t c = i % requests.size();
+        const bool began_after = reloaded.load();
+        const TaskResult r = session.run_sync(requests[c]);
+        const nn::Tensor& got = *r.as<LogicProbOutput>().prob;
+        const bool is_new = bit_identical(got, new_bytes[c]);
+        const bool is_old = bit_identical(got, old_bytes[c]);
+        if (!is_new && !is_old) ++foreign[t];
+        if (is_old) ++old_served[t];
+        if (began_after) {
+          if (!is_new) ++stale_after[t];
+          ++calls_after[t];
+        }
+        ++calls[t];
+      }
+    });
+  }
+  const auto all_reach = [&](const auto& counts, int n) {
+    for (;;) {
+      bool done = true;
+      for (const auto& c : counts) done = done && c.load() >= n;
+      if (done) return;
+      std::this_thread::yield();
+    }
+  };
+  all_reach(calls, 1);  // every caller is running before the push
   const std::uint64_t new_fingerprint = session.reload_weights(art);
+  reloaded.store(true);
+  all_reach(calls_after, 3);
+  stop.store(true);
+  for (std::thread& c : callers) c.join();
 
   EXPECT_NE(new_fingerprint, seed_fingerprint);
   EXPECT_EQ(new_fingerprint, artifact_fingerprint(art->manifest.content_hash));
@@ -196,30 +249,28 @@ TEST(ArtifactServing, ReloadWeightsSwapsFingerprintAndResultsWithoutDrops) {
   EXPECT_EQ(session.backend().info().weights,
             artifact_weights_label(art->manifest.content_hash));
 
-  // Nothing submitted before the push was dropped, and each result is the
-  // OLD weights' output (the weights it was submitted against).
-  const DeepSeqModel untuned(small_model());
-  for (std::size_t i = 0; i < inflight.size(); ++i) {
-    const TaskResult r = inflight[i].get();
-    const TaskRequest ref_req =
-        make_request(circuits[i], TaskKind::kLogicProb, i + 1);
-    nn::Graph g(false);
-    const auto want = untuned.regress(
-        g, untuned.embed(g, build_circuit_graph(*circuits[i]),
-                         ref_req.workload, ref_req.init_seed));
-    EXPECT_TRUE(bit_identical(*r.as<LogicProbOutput>().prob, want.lg->value))
-        << "in-flight task " << i;
+  // Every result is one weight-set's exact bytes, every caller was served
+  // by the old weights before the push, and no call that began after the
+  // push saw the old weights.
+  std::uint64_t total = 0;
+  for (int t = 0; t < kCallers; ++t) {
+    EXPECT_EQ(foreign[t], 0) << "caller " << t;
+    EXPECT_GE(old_served[t], 1) << "caller " << t;
+    EXPECT_EQ(stale_after[t], 0) << "caller " << t;
+    total += static_cast<std::uint64_t>(calls[t].load());
   }
 
-  // Subsequent submits serve the tuned weights.
-  const TaskRequest req = make_request(circuits[0], TaskKind::kLogicProb, 1);
-  const TaskResult after = session.run_sync(req);
-  nn::Graph g(false);
-  const auto want = tuned.regress(
-      g, tuned.embed(g, build_circuit_graph(*circuits[0]), req.workload,
-                     req.init_seed));
-  EXPECT_TRUE(bit_identical(*after.as<LogicProbOutput>().prob, want.lg->value));
-  EXPECT_FALSE(after.embedding_cache_hit);  // new fingerprint = new cache keys
+  // Exact accounting: nothing dropped, nothing failed.
+  const obs::Snapshot d = obs::delta(obs::Registry::global().snapshot(), base);
+  const auto count = [&d](const std::string& name) {
+    const auto it = d.counters.find(name);
+    return it == d.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  EXPECT_EQ(count("task.submitted.logic-prob"), total);
+  EXPECT_EQ(count("task.submitted.logic-prob"),
+            count("task.completed.logic-prob") +
+                count("task.failed.logic-prob"));
+  EXPECT_EQ(count("task.failed.logic-prob"), 0u);
 
   // Re-pushing the already-live artifact is indistinguishable from a
   // factory ignoring it — both fail fast with the fingerprint unchanged.
@@ -363,7 +414,7 @@ TEST(EnsembleBackend, ServesProbabilityTasksThroughSession) {
             static_cast<int>(circuit->num_nodes()));
   // Reliability must fail fast on the ensemble.
   EXPECT_THROW(
-      (void)session.submit(make_request(circuit, TaskKind::kReliability)),
+      (void)session.run_sync(make_request(circuit, TaskKind::kReliability)),
       Error);
 }
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <future>
 #include <vector>
 
 #include "api/backends.hpp"
@@ -13,6 +12,7 @@
 #include "dataset/generator.hpp"
 #include "netlist/aig.hpp"
 #include "netlist/scoap.hpp"
+#include "nn/executor.hpp"
 #include "nn/graph.hpp"
 #include "power/pipeline.hpp"
 #include "reliability/reliability_model.hpp"
@@ -203,30 +203,14 @@ TEST(SessionParity, TestabilityMatchesDirectScoapCall) {
 
 // ---- serving behaviour ------------------------------------------------------
 
-TEST(Session, SubmitMatchesRunSyncBitIdentical) {
-  Session a(small_session()), b(small_session());
-  const auto circuit = shared_aig(6);
-  const TaskRequest req = make_request(circuit, TaskKind::kLogicProb);
-
-  auto f = a.submit(req);
-  a.drain();
-  const TaskResult via_pool = f.get();
-  const TaskResult via_sync = b.run_sync(req);
-  EXPECT_TRUE(bit_identical(*via_pool.as<LogicProbOutput>().prob,
-                            *via_sync.as<LogicProbOutput>().prob));
-}
-
 TEST(Session, TasksShareOneStructureResolve) {
   Session session(small_session());
   const auto circuit = shared_aig(7);
 
-  std::vector<std::future<TaskResult>> futures;
   for (const TaskKind task :
        {TaskKind::kEmbedding, TaskKind::kLogicProb, TaskKind::kTransitionProb,
         TaskKind::kPower, TaskKind::kReliability})
-    futures.push_back(session.submit(make_request(circuit, task)));
-  session.drain();
-  for (auto& f : futures) (void)f.get();
+    (void)session.run_sync(make_request(circuit, task));
 
   const auto stats = session.cache_stats();
   EXPECT_EQ(stats.structures.misses, 1u);  // one prepare served every task
@@ -240,7 +224,7 @@ TEST(Session, UnsupportedTaskFailsFastWithClearError) {
   TaskRequest req = make_request(shared_aig(8), TaskKind::kLogicProb);
   req.backend = "pace";
   try {
-    (void)session.submit(std::move(req));
+    (void)session.run_sync(req);
     FAIL() << "expected Error";
   } catch (const Error& e) {
     const std::string msg = e.what();
@@ -250,29 +234,27 @@ TEST(Session, UnsupportedTaskFailsFastWithClearError) {
 
   TaskRequest rel = make_request(shared_aig(8), TaskKind::kReliability);
   rel.backend = "pace";
-  EXPECT_THROW((void)session.submit(std::move(rel)), Error);
+  EXPECT_THROW((void)session.run_sync(rel), Error);
 }
 
 TEST(Session, UnknownBackendNameFailsFast) {
   Session session(small_session());
   TaskRequest req = make_request(shared_aig(9), TaskKind::kEmbedding);
   req.backend = "no-such-backend";
-  EXPECT_THROW((void)session.submit(std::move(req)), Error);
+  EXPECT_THROW((void)session.run_sync(req), Error);
 
   SessionConfig bad = small_session();
   bad.backend = "also-missing";
   EXPECT_THROW(Session{bad}, Error);
 }
 
-TEST(Session, ComputeErrorsSurfaceThroughFuture) {
+TEST(Session, ComputeErrorsThrowFromRunSync) {
   Session session(small_session());
   TaskRequest req;
   req.circuit = shared_aig(10);
   req.workload.pi_prob = {0.5};  // wrong PI count
   req.task = TaskKind::kEmbedding;
-  auto f = session.submit(std::move(req));
-  session.flush();
-  EXPECT_THROW(f.get(), Error);
+  EXPECT_THROW((void)session.run_sync(req), Error);
 }
 
 TEST(Session, ResultCarriesTaskMetadata) {
@@ -284,7 +266,8 @@ TEST(Session, ResultCarriesTaskMetadata) {
   EXPECT_EQ(res.backend, "deepseq");
   EXPECT_EQ(res.structure, structural_hash(*circuit));
   EXPECT_FALSE(res.embedding_cache_hit);
-  EXPECT_GE(res.total_ms, res.compute_ms);
+  EXPECT_EQ(res.queue_ms, 0.0);  // computed on the caller: no queue
+  EXPECT_EQ(res.total_ms, res.compute_ms);
   // Wrong-type access throws.
   EXPECT_THROW((void)res.as<PowerOutput>(), std::bad_variant_access);
 }
@@ -318,6 +301,56 @@ TEST(Session, WarmProbabilityTrafficSkipsRegressionHeads) {
       make_request(circuit, TaskKind::kLogicProb, /*workload_seed=*/21));
   EXPECT_FALSE(other.embedding_cache_hit);
   EXPECT_FALSE(other.regression_cache_hit);
+}
+
+/// A deepseq backend that records the nn executor its task heads run on.
+class ExecutorProbeBackend : public DeepSeqBackend {
+ public:
+  struct Seen {
+    const nn::Executor* regress = nullptr;
+    const nn::Executor* reliability = nullptr;
+  };
+
+  ExecutorProbeBackend(const ModelConfig& config, std::shared_ptr<Seen> seen)
+      : DeepSeqBackend(config), seen_(std::move(seen)) {}
+
+  Regression regress(const nn::Tensor& embedding) const override {
+    seen_->regress = &nn::Executor::current();
+    return DeepSeqBackend::regress(embedding);
+  }
+  ReliabilityEstimate reliability(const BackendState& state, const Workload& w,
+                                  const std::vector<NodeId>& pos,
+                                  std::uint64_t init_seed) const override {
+    seen_->reliability = &nn::Executor::current();
+    return DeepSeqBackend::reliability(state, w, pos, init_seed);
+  }
+
+ private:
+  std::shared_ptr<Seen> seen_;
+};
+
+TEST(Session, TaskHeadsRunOnTheSessionExecutor) {
+  auto seen = std::make_shared<ExecutorProbeBackend::Seen>();
+  BackendRegistry registry;
+  registry.register_backend("probe", [seen](const BackendOptions& options) {
+    return std::make_unique<ExecutorProbeBackend>(options.model, seen);
+  });
+  SessionConfig cfg = small_session();
+  cfg.backend = "probe";
+  cfg.engine.nn_threads = 1;
+  Session session(cfg, registry);
+
+  const auto circuit = shared_aig(18);
+  (void)session.run_sync(make_request(circuit, TaskKind::kLogicProb));
+  (void)session.run_sync(make_request(circuit, TaskKind::kReliability));
+
+  // Both heads flushed on the session's own executor, never on the
+  // process-global one (which ignores EngineConfig::nn_threads).
+  ASSERT_NE(seen->regress, nullptr);
+  ASSERT_NE(seen->reliability, nullptr);
+  EXPECT_EQ(seen->regress, seen->reliability);
+  EXPECT_NE(seen->reliability, &nn::Executor::global());
+  EXPECT_EQ(seen->reliability->threads(), session.nn_threads());
 }
 
 TEST(Session, BackendsReportThreadedEmbedCapability) {

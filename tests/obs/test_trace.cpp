@@ -82,16 +82,17 @@ TEST(ObsTraceSink, ClearResets) {
 
 TEST(ObsTraceSink, ConcurrentRecordersLoseNothingUnderCapacity) {
   TraceSink sink(4096);
-  runtime::ThreadPool pool(8);
   constexpr int kTasks = 16;
   constexpr int kPerTask = 100;
-  for (int t = 0; t < kTasks; ++t)
-    pool.submit([&sink, t] {
-      for (int i = 0; i < kPerTask; ++i)
-        sink.record(make_event("e", static_cast<std::uint64_t>(t) * kPerTask +
-                                        static_cast<std::uint64_t>(i)));
-    });
-  pool.wait_idle();
+  {
+    runtime::ThreadPool pool(8);
+    for (int t = 0; t < kTasks; ++t)
+      pool.submit([&sink, t] {
+        for (int i = 0; i < kPerTask; ++i)
+          sink.record(make_event("e", static_cast<std::uint64_t>(t) * kPerTask +
+                                          static_cast<std::uint64_t>(i)));
+      });
+  }  // destruction runs every queued task
   EXPECT_EQ(sink.recorded(), static_cast<std::uint64_t>(kTasks) * kPerTask);
   EXPECT_EQ(sink.dropped(), 0u);
   // Every distinct event survived (tickets are unique, capacity was enough).
@@ -189,7 +190,7 @@ TEST(ObsSessionTrace, OneTaskYieldsACompleteSpanChain) {
       req.workload = random_workload(*circuit, rng);
       req.task = api::TaskKind::kLogicProb;  // embed + regression head
       req.init_seed = 7;
-      session.submit(std::move(req)).get();
+      session.run_sync(req);
     }  // ~Session writes the dump
     ::unsetenv("DEEPSEQ_TRACE");
     EXPECT_FALSE(tracing_enabled());  // prior (off) state restored
@@ -198,14 +199,15 @@ TEST(ObsSessionTrace, OneTaskYieldsACompleteSpanChain) {
     ASSERT_FALSE(doc.empty());
     EXPECT_TRUE(testing::valid_json(doc)) << doc;
     // The full chain of one request, each stage present by name.
-    for (const char* span : {"\"submit\"", "\"queue\"", "\"resolve\"",
-                             "\"embed\"", "\"head\"", "\"task\""}) {
+    for (const char* span :
+         {"\"resolve\"", "\"embed\"", "\"head\"", "\"task\""}) {
       EXPECT_NE(doc.find(span), std::string::npos) << "missing span " << span;
     }
+    EXPECT_EQ(doc.find("\"queue\""), std::string::npos);  // no queue stage
     EXPECT_NE(doc.find("\"kind\":\"logic-prob\""), std::string::npos);
-    // Every span of the single submitted task carries the same task id.
+    // Every span of the single task carries the same task id.
     const std::vector<std::uint64_t> ids = task_ids_in(doc);
-    ASSERT_GE(ids.size(), 6u);
+    ASSERT_GE(ids.size(), 4u);
     for (std::uint64_t id : ids) EXPECT_EQ(id, ids.front());
     std::filesystem::remove(path);
   }
@@ -235,13 +237,12 @@ TEST(ObsSessionTrace, TaskCountersBalanceAcrossSuccessAndFailure) {
     ok.circuit = circuit;
     ok.workload = random_workload(*circuit, rng);
     ok.task = api::TaskKind::kEmbedding;
-    session.submit(ok).get();
+    session.run_sync(ok);
     EXPECT_FALSE(tracing_enabled());
 
     api::TaskRequest bad = ok;
     bad.workload = random_workload(*other, rng);  // PI mismatch: must throw
-    EXPECT_THROW(session.submit(bad).get(), std::exception);
-    session.drain();
+    EXPECT_THROW(session.run_sync(bad), std::exception);
   }
   const Snapshot d = delta(Registry::global().snapshot(), base);
   const auto count = [&d](const std::string& name) {

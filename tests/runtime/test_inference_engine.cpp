@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "api/backends.hpp"
@@ -13,7 +13,6 @@
 #include "netlist/aig.hpp"
 #include "netlist/topology.hpp"
 #include "nn/graph.hpp"
-#include "obs/metrics.hpp"
 
 namespace deepseq::runtime {
 namespace {
@@ -27,15 +26,14 @@ PaceConfig small_pace() {
   return cfg;
 }
 
-EngineConfig small_engine(int threads, int max_batch = 4) {
+EngineConfig small_engine(int threads) {
   EngineConfig cfg;
   cfg.threads = threads;
-  cfg.max_batch = max_batch;
   return cfg;
 }
 
-/// Backend pair shared by a test: the engine is only a scheduler now, so
-/// tests own the backend instances the requests point at.
+/// Backend pair shared by a test: the engine owns no models, so tests own
+/// the backend instances the requests point at.
 struct Backends {
   api::DeepSeqBackend deepseq{small_model()};
   api::PaceBackend pace{small_pace()};
@@ -58,7 +56,7 @@ bool bit_identical(const nn::Tensor& a, const nn::Tensor& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-TEST(InferenceEngine, BatchedMatchesSequentialBitIdentical) {
+TEST(InferenceEngine, ConcurrentRunSyncMatchesDirectModelCalls) {
   Backends backends;
 
   // Reference models built from the same presets: identical weights by
@@ -84,22 +82,20 @@ TEST(InferenceEngine, BatchedMatchesSequentialBitIdentical) {
     requests.push_back(std::move(r));
   }
 
-  const obs::Snapshot base = obs::Registry::global().snapshot();
-  std::vector<std::future<EmbeddingResult>> futures;
-  for (const auto& r : requests) futures.push_back(engine.submit(r));
-  engine.drain();
-
-  // Batch accounting: every request passes through exactly one batch, and
-  // each dispatched batch records its size once.
-  const obs::Snapshot d = obs::delta(obs::Registry::global().snapshot(), base);
-  const obs::HistogramSnapshot& sizes = d.histograms.at("engine.batch_size");
-  EXPECT_EQ(sizes.sum, requests.size());
-  EXPECT_GE(sizes.count, 1u);
-  EXPECT_EQ(sizes.count, d.counters.at("engine.batches"));
-  EXPECT_LE(sizes.max, static_cast<std::uint64_t>(engine.config().max_batch));
+  // Four callers share one engine (its caches and structure builds), each
+  // taking every fourth request.
+  constexpr std::size_t kCallers = 4;
+  std::vector<EmbeddingResult> results(requests.size());
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (std::size_t i = t; i < requests.size(); i += kCallers)
+        results[i] = engine.run_sync(requests[i]);
+    });
+  }
+  for (std::thread& c : callers) c.join();
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const EmbeddingResult got = futures[i].get();
     const EmbeddingRequest& r = requests[i];
     nn::Graph g(false);
     nn::Tensor want;
@@ -110,50 +106,9 @@ TEST(InferenceEngine, BatchedMatchesSequentialBitIdentical) {
       const CircuitGraph cg = build_circuit_graph(*r.circuit);
       want = ref_model.embed(g, cg, r.workload, r.init_seed)->value;
     }
-    ASSERT_NE(got.embedding, nullptr) << "request " << i;
-    EXPECT_TRUE(bit_identical(*got.embedding, want)) << "request " << i;
+    ASSERT_NE(results[i].embedding, nullptr) << "request " << i;
+    EXPECT_TRUE(bit_identical(*results[i].embedding, want)) << "request " << i;
   }
-}
-
-TEST(InferenceEngine, RunSyncMatchesSubmit) {
-  Backends backends;
-  InferenceEngine a(small_engine(2)), b(small_engine(2));
-  auto circuit = shared_aig(5);
-  Rng rng(7);
-  EmbeddingRequest r;
-  r.circuit = circuit;
-  r.workload = random_workload(*circuit, rng);
-  r.backend = &backends.deepseq;
-  r.init_seed = 42;
-
-  auto f = a.submit(r);
-  a.flush();
-  const EmbeddingResult via_pool = f.get();
-  const EmbeddingResult via_sync = b.run_sync(r);
-  EXPECT_TRUE(bit_identical(*via_pool.embedding, *via_sync.embedding));
-}
-
-TEST(InferenceEngine, SubmitThenRunsCompletionOnWorker) {
-  Backends backends;
-  InferenceEngine engine(small_engine(2));
-  auto circuit = shared_aig(5);
-  Rng rng(7);
-  EmbeddingRequest r;
-  r.circuit = circuit;
-  r.workload = random_workload(*circuit, rng);
-  r.backend = &backends.deepseq;
-
-  auto f = engine.submit_then(r, [](EmbeddingResult&& er) {
-    return er.embedding->rows();  // mapped result type
-  });
-  engine.drain();
-  EXPECT_EQ(f.get(), static_cast<int>(circuit->num_nodes()));
-
-  // A throwing completion surfaces through the future.
-  auto g = engine.submit_then(
-      std::move(r), [](EmbeddingResult&&) -> int { throw Error("head"); });
-  engine.drain();
-  EXPECT_THROW(g.get(), Error);
 }
 
 TEST(InferenceEngine, RepeatRequestHitsEmbeddingCache) {
@@ -291,56 +246,34 @@ TEST(InferenceEngine, IsomorphicRenumberedCircuitGetsItsOwnEmbedding) {
   EXPECT_TRUE(bit_identical(*got_b.embedding, want));
 }
 
-TEST(InferenceEngine, PartialBatchFlushedByTimer) {
-  Backends backends;
-  EngineConfig cfg = small_engine(2, /*max_batch=*/64);
-  cfg.flush_interval_ms = 1.0;
-  InferenceEngine engine(cfg);
-  auto circuit = shared_aig(8);
-  Rng rng(10);
-  EmbeddingRequest r;
-  r.circuit = circuit;
-  r.workload = random_workload(*circuit, rng);
-  r.backend = &backends.deepseq;
-
-  auto f = engine.submit(r);  // far below max_batch; no explicit flush
-  ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
-  EXPECT_NE(f.get().embedding, nullptr);
-}
-
-TEST(InferenceEngine, WorkloadMismatchSurfacesThroughFuture) {
+TEST(InferenceEngine, WorkloadMismatchThrows) {
   Backends backends;
   InferenceEngine engine(small_engine(2));
   EmbeddingRequest r;
   r.circuit = shared_aig(11);
   r.workload.pi_prob = {0.5};  // wrong PI count
   r.backend = &backends.deepseq;
-  auto f = engine.submit(std::move(r));
-  engine.flush();
-  EXPECT_THROW(f.get(), Error);
+  EXPECT_THROW((void)engine.run_sync(r), Error);
 }
 
-TEST(InferenceEngine, MissingBackendSurfacesThroughFuture) {
+TEST(InferenceEngine, MissingBackendThrows) {
   InferenceEngine engine(small_engine(1));
   EmbeddingRequest r;
   r.circuit = shared_aig(11);
   Rng rng(12);
-  r.workload = random_workload(*r.circuit, rng);
-  auto f = engine.submit(std::move(r));  // backend left null
-  engine.flush();
-  EXPECT_THROW(f.get(), Error);
+  r.workload = random_workload(*r.circuit, rng);  // backend left null
+  EXPECT_THROW((void)engine.run_sync(r), Error);
 }
 
-TEST(InferenceEngine, MissingCircuitFailsFastOnSubmit) {
+TEST(InferenceEngine, MissingCircuitThrows) {
   Backends backends;
   InferenceEngine engine(small_engine(1));
   EmbeddingRequest r;
   r.backend = &backends.deepseq;  // circuit left null
-  EXPECT_THROW((void)engine.submit(r), Error);
   EXPECT_THROW((void)engine.run_sync(r), Error);
 }
 
-TEST(InferenceEngine, LatencyBreakdownIsPopulated) {
+TEST(InferenceEngine, ComputeTimeIsPopulated) {
   Backends backends;
   InferenceEngine engine(small_engine(1));
   auto circuit = shared_aig(12);
@@ -349,12 +282,7 @@ TEST(InferenceEngine, LatencyBreakdownIsPopulated) {
   r.circuit = circuit;
   r.workload = random_workload(*circuit, rng);
   r.backend = &backends.deepseq;
-  auto f = engine.submit(r);
-  engine.drain();
-  const EmbeddingResult res = f.get();
-  EXPECT_GT(res.compute_ms, 0.0);
-  EXPECT_GE(res.total_ms, res.compute_ms);
-  EXPECT_GE(res.queue_ms, 0.0);
+  EXPECT_GT(engine.run_sync(r).compute_ms, 0.0);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <future>
 #include <vector>
 
 namespace deepseq::runtime {
@@ -12,32 +12,37 @@ namespace {
 TEST(ThreadPool, RunsEverySubmittedTask) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&count] { ++count; });
-  pool.wait_idle();
+  std::vector<std::future<void>> done;
+  for (int i = 0; i < 100; ++i)
+    done.push_back(pool.submit_with_result([&count] { ++count; }));
+  for (auto& f : done) f.get();
   EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(pool.completed(), 100u);
 }
 
 TEST(ThreadPool, SingleThreadPreservesSubmissionOrder) {
-  ThreadPool pool(1);
   std::vector<int> order;
-  for (int i = 0; i < 50; ++i)
-    pool.submit([&order, i] { order.push_back(i); });
-  pool.wait_idle();
+  {
+    ThreadPool pool(1);
+    for (int i = 0; i < 50; ++i)
+      pool.submit([&order, i] { order.push_back(i); });
+  }  // destruction runs every queued task
   ASSERT_EQ(order.size(), 50u);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(ThreadPool, WaitIdleCoversTasksSubmittedFromTasks) {
-  ThreadPool pool(2);
+TEST(ThreadPool, TasksSubmittedFromTasksRun) {
   std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&pool, &count] {
-      ++count;
-      pool.submit([&count] { ++count; });
-    });
-  }
-  pool.wait_idle();
+  {
+    ThreadPool pool(2);
+    std::vector<std::future<void>> outer;
+    for (int i = 0; i < 10; ++i) {
+      outer.push_back(pool.submit_with_result([&pool, &count] {
+        ++count;
+        pool.submit([&count] { ++count; });
+      }));
+    }
+    for (auto& f : outer) f.get();  // every inner task is queued by now
+  }  // destruction runs every queued task
   EXPECT_EQ(count.load(), 20);
 }
 
@@ -60,10 +65,10 @@ TEST(ThreadPool, ZeroThreadsFallsBackToHardwareConcurrency) {
 }
 
 TEST(ThreadPool, StressManyProducersManyTasks) {
-  ThreadPool pool(4);
   std::atomic<long long> sum{0};
   {
-    ThreadPool producers(4);
+    ThreadPool pool(4);
+    ThreadPool producers(4);  // destroyed first: every producer has run
     for (int p = 0; p < 4; ++p) {
       producers.submit([&pool, &sum, p] {
         for (int i = 0; i < 500; ++i) {
@@ -72,20 +77,11 @@ TEST(ThreadPool, StressManyProducersManyTasks) {
         }
       });
     }
-    producers.wait_idle();
   }
-  pool.wait_idle();
   long long expect = 0;
   for (int p = 0; p < 4; ++p)
     for (int i = 0; i < 500; ++i) expect += 1000LL * p + i;
   EXPECT_EQ(sum.load(), expect);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(3);
-  pool.wait_idle();
-  pool.wait_idle();
-  EXPECT_EQ(pool.completed(), 0u);
 }
 
 TEST(ThreadPool, DestructorDrainsQueuedTasks) {
