@@ -1,14 +1,10 @@
 // Single-circuit propagation microbenchmark across the Table IV designs.
 // For every design the bench times DeepSeqModel::embed — the fused no-grad
 // inference pass serving runs — with DEEPSEQ_NN_SIMD off and on, and checks
-// both embeddings bit-identical to the planned grad-mode embedding under
-// the sequential scalar executor (the record/plan/execute path training
-// runs). The fused pass never touches the nn executor, so the thread axis
-// survives only for grad mode: on the largest design a full training step
-// (forward, both L1 heads, backward) runs under executors of every swept
-// thread count and must reproduce the sequential loss and every parameter
-// gradient bit-for-bit; those rows also carry the planner's structural
-// counters (global syncs, released chains, chains, fused ops). A
+// both embeddings bit-identical to the recorded grad-mode embedding with
+// scalar kernels (the record-then-execute path training runs). On the
+// largest design it then times one grad-mode training step (forward, the
+// logic-probability L1 head, backward) with its flush and step counts. A
 // record-overhead micro reports ns per recorded op of the record layer.
 //
 // Emits a table and micro_propagation.json (bench_util::JsonWriter) so the
@@ -17,9 +13,8 @@
 // largest design's fused per-sweep timing. Exits 1 when any bit-identity
 // check fails.
 //
-// Knobs: DEEPSEQ_PROP_THREADS (max grad-mode thread sweep, default 4),
-// DEEPSEQ_PROP_REPS (timing repetitions, default 3), DEEPSEQ_FULL=1 for
-// paper-scale designs and model.
+// Knobs: DEEPSEQ_PROP_REPS (embed timing repetitions, default 3),
+// DEEPSEQ_FULL=1 for paper-scale designs and model.
 
 #include <cstdio>
 #include <cstdlib>
@@ -35,7 +30,6 @@
 #include "dataset/test_designs.hpp"
 #include "netlist/aig.hpp"
 #include "nn/executor.hpp"
-#include "runtime/thread_pool.hpp"
 
 using namespace deepseq;
 using namespace deepseq::bench;
@@ -83,12 +77,10 @@ double time_embed(const DeepSeqModel& model, const Design& d, int reps,
   return best;
 }
 
-/// The planned grad-mode embedding under the sequential scalar executor:
-/// the reference every fused embedding must reproduce.
-nn::Tensor planned_embed(const DeepSeqModel& model, const Design& d) {
+/// The recorded grad-mode embedding with scalar kernels: the reference
+/// every fused embedding must reproduce.
+nn::Tensor recorded_embed(const DeepSeqModel& model, const Design& d) {
   set_simd(false);
-  nn::Executor sequential;
-  nn::ExecutorScope scope(sequential);
   nn::Graph g(/*grad_enabled=*/true);
   return model.embed(g, d.graph, d.workload, 7)->value;
 }
@@ -98,8 +90,6 @@ nn::Tensor planned_embed(const DeepSeqModel& model, const Design& d) {
 /// The timer covers only the recording loop; the flush happens on scope
 /// exit, outside it. Best of several reps = warm free-list state.
 double measure_record_ns_per_op() {
-  nn::Executor sequential;
-  nn::ExecutorScope scope(sequential);
   nn::Graph g(/*grad_enabled=*/false);
   const nn::Var a = nn::make_constant(nn::Tensor::full(8, 8, 0.5f));
   const nn::Var b = nn::make_constant(nn::Tensor::full(8, 8, 0.25f));
@@ -124,15 +114,11 @@ double measure_record_ns_per_op() {
 int main() {
   const BenchConfig cfg = BenchConfig::from_env();
   print_banner("PROPAGATION",
-               "single-circuit fused embed vs simd; grad-mode parity vs "
-               "nn-executor threads",
+               "single-circuit fused embed vs simd; one grad-mode training "
+               "step",
                cfg);
 
-  const int max_threads = static_cast<int>(env_int("DEEPSEQ_PROP_THREADS", 4));
   const int reps = static_cast<int>(env_int("DEEPSEQ_PROP_REPS", 3));
-  std::vector<int> sweep{1};
-  for (const int t : {2, 4, 8})
-    if (t <= max_threads) sweep.push_back(t);
 
   std::vector<Design> designs;
   for (TestDesign& td :
@@ -171,7 +157,7 @@ int main() {
   nn::ExecStats largest_stats;
   for (std::size_t i = 0; i < designs.size(); ++i) {
     const Design& d = designs[i];
-    const nn::Tensor reference = planned_embed(model, d);
+    const nn::Tensor reference = recorded_embed(model, d);
     double scalar_ms = 0.0;
     for (const bool simd : {false, true}) {
       set_simd(simd);
@@ -223,72 +209,25 @@ int main() {
     json.field("record_ns_per_op", ns);
   }
 
-  // Grad-mode parity on the largest design: loss and every parameter
-  // gradient bit-identical between the sequential executor and every swept
-  // thread count, with the planner's structural counters per run.
+  // One grad-mode training step on the largest design: forward, the
+  // logic-probability L1 head and backward, with its flush and step counts.
   {
     const Design& d = designs[largest];
     const nn::Tensor target_lg(d.graph.num_nodes, 1);
-    const auto params = model.params();
-    runtime::ThreadPool pool(sweep.back());
-    auto run = [&](nn::Executor& exec, std::vector<nn::Tensor>& grads,
-                   nn::ExecStats& stats) {
-      nn::ExecutorScope scope(exec);
+    nn::ExecStats stats;
+    WallTimer t;
+    {
       nn::ExecTraceScope ts(stats);
-      for (const auto& [name, p] : params) {
-        (void)name;
-        if (p->has_grad()) p->grad.zero();
-      }
       nn::Graph g(/*grad_enabled=*/true);
       const auto out = model.forward(g, d.graph, d.workload, 7);
-      const nn::Var loss = g.l1_loss(out.lg, target_lg);
-      g.backward(loss);
-      grads.clear();
-      for (const auto& [name, p] : params) {
-        (void)name;
-        grads.push_back(p->has_grad()
-                            ? p->grad
-                            : nn::Tensor(p->value.rows(), p->value.cols()));
-      }
-      return loss->value.at(0, 0);
-    };
-    std::vector<nn::Tensor> g_ref;
-    float loss_ref = 0.0f;
-    json.begin_array("grad_parity");
-    for (const int threads : sweep) {
-      nn::Executor exec(&pool, threads);
-      std::vector<nn::Tensor> grads;
-      nn::ExecStats stats;
-      WallTimer t;
-      const float loss = run(exec, grads, stats);
-      const double ms = t.millis();
-      if (threads == 1) {
-        g_ref = grads;
-        loss_ref = loss;
-      }
-      bool identical = loss == loss_ref && grads.size() == g_ref.size();
-      for (std::size_t k = 0; identical && k < grads.size(); ++k)
-        identical = bit_identical(g_ref[k], grads[k]);
-      all_identical = all_identical && identical;
-      std::printf(
-          "grad-mode %s at %d threads: %.2f ms, %d flushes, %d global syncs, "
-          "%d chains, %d ops fused, %s\n",
-          d.name.c_str(), threads, ms, stats.flushes, stats.global_syncs,
-          stats.chains, stats.fused_ops,
-          identical ? "bit-identical" : "DIVERGED");
-      json.begin_object();
-      json.field("threads", threads);
-      json.field("train_step_ms", ms);
-      json.field("bit_identical", identical);
-      json.field("flushes", stats.flushes);
-      json.field("global_syncs", stats.global_syncs);
-      json.field("released_chains", stats.released_chains);
-      json.field("chains", stats.chains);
-      json.field("fused_ops", stats.fused_ops);
-      json.field("parallel_flushes", stats.parallel_flushes);
-      json.end_object();
+      g.backward(g.l1_loss(out.lg, target_lg));
     }
-    json.end_array();
+    const double ms = t.millis();
+    std::printf("grad-mode %s training step: %.2f ms, %d flushes, %d steps\n",
+                d.name.c_str(), ms, stats.flushes, stats.steps);
+    json.field("train_step_ms", ms);
+    json.field("train_flushes", stats.flushes);
+    json.field("train_steps", stats.steps);
   }
 
   json.field("all_bit_identical", all_identical);

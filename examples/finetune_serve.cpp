@@ -43,7 +43,6 @@ bool bit_identical(const nn::Tensor& a, const nn::Tensor& b) {
 bool verify_parity(const std::shared_ptr<const artifact::Artifact>& art,
                    const DeepSeqModel& tuned) {
   api::SessionConfig cfg;
-  cfg.engine.threads = 2;
   cfg.backends.artifact = art;
   api::Session session(cfg);
   std::printf("session backend: %s, weights %s, fingerprint %016llx\n",
@@ -131,7 +130,6 @@ int main(int argc, char** argv) try {
   // 5. Hot reload: push the tuned weights into a Session that is already
   // serving seed weights — zero downtime, new fingerprint.
   api::SessionConfig cfg;
-  cfg.engine.threads = 2;
   cfg.backends.model = model.config();
   api::Session session(cfg);
   const std::uint64_t before = session.backend().info().fingerprint;

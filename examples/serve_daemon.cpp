@@ -13,7 +13,6 @@
 //   DEEPSEQ_SHARDS        Session shards, 1..256              (default 2)
 //   DEEPSEQ_SERVE_WORKERS worker threads per shard, 1..256    (default 2)
 //   DEEPSEQ_QUEUE_DEPTH   per-kind admission queue depth, >= 1 (default 64)
-//   DEEPSEQ_THREADS       nn helper threads per shard, 1..256 (default 2)
 //   DEEPSEQ_HIDDEN        model hidden size, 1..1024          (default 32)
 //   DEEPSEQ_T             propagation iterations, 1..64       (default 4)
 //                         (HIDDEN and T preset seed-built backends)
@@ -78,8 +77,6 @@ int main() try {
       static_cast<int>(env_int_in("DEEPSEQ_SERVE_WORKERS", 2, 1, 256));
   cfg.router.admission.default_depth = static_cast<std::size_t>(env_int_in(
       "DEEPSEQ_QUEUE_DEPTH", 64, 1, std::numeric_limits<std::int64_t>::max()));
-  cfg.router.session.engine.threads =
-      static_cast<int>(env_int_in("DEEPSEQ_THREADS", 2, 1, 256));
   cfg.router.session.backends.model = ModelConfig::deepseq(
       static_cast<int>(env_int_in("DEEPSEQ_HIDDEN", 32, 1, 1024)),
       static_cast<int>(env_int_in("DEEPSEQ_T", 4, 1, 64)));

@@ -58,7 +58,6 @@ int main(int argc, char** argv) try {
   cfg.backend = api::backend_from_env(api::BackendRegistry::global());
   // DEEPSEQ_ARTIFACT swaps fine-tuned weights into the chosen backend.
   cfg.backends = api::options_from_env(cfg.backends);
-  cfg.engine.threads = 2;
   api::Session session(cfg);
   std::printf("session backend: %s, weights %s (registered:",
               cfg.backend.c_str(), session.backend().info().weights.c_str());

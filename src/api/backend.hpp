@@ -39,16 +39,6 @@ struct BackendInfo {
   bool supports_regress = false;
   /// reliability() works (model-only circuit reliability readout).
   bool supports_reliability = false;
-  /// embed() runs through the nn record/plan/execute pipeline: a single
-  /// forward pass can use the session executor's helper threads
-  /// (DEEPSEQ_NN_THREADS / EngineConfig::nn_threads), bit-identical to the
-  /// sequential path. False for deepseq: its embed is the fused inference
-  /// pass (DeepSeqModel::embed without gradients), which runs on the calling
-  /// thread: the last micro_propagation snapshot that timed the planned
-  /// no-grad pass had 4 threads beat 1 by at most 1.12x (SIMD on) and lose
-  /// on 4 of its 6 designs, so the serve tier's shard workers parallelize
-  /// across requests instead.
-  bool threaded_embed = false;
 };
 
 /// Per-node probability heads over an embedding matrix.

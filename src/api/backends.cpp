@@ -68,7 +68,6 @@ DeepSeqBackend::DeepSeqBackend(const ModelConfig& config)
   info_.fingerprint = deepseq_fingerprint(config);
   info_.supports_regress = true;
   info_.supports_reliability = true;
-  info_.threaded_embed = false;  // fused inference pass: see BackendInfo
 }
 
 DeepSeqBackend::DeepSeqBackend(const artifact::Artifact& a)
@@ -85,7 +84,6 @@ DeepSeqBackend::DeepSeqBackend(const artifact::Artifact& a)
   info_.weights = artifact_weights_label(content_hash);
   info_.supports_regress = true;
   info_.supports_reliability = true;
-  info_.threaded_embed = false;  // fused inference pass: see BackendInfo
 }
 
 std::shared_ptr<const BackendState> DeepSeqBackend::prepare(
@@ -130,7 +128,6 @@ PaceBackend::PaceBackend(const PaceConfig& config) : encoder_(config) {
   info_.name = "pace";
   info_.hidden_dim = config.hidden_dim;
   info_.fingerprint = pace_fingerprint(config);
-  info_.threaded_embed = true;  // graph ops go through the same executor
 }
 
 PaceBackend::PaceBackend(const artifact::Artifact& a)
@@ -140,7 +137,6 @@ PaceBackend::PaceBackend(const artifact::Artifact& a)
   info_.hidden_dim = encoder_.config().hidden_dim;
   info_.fingerprint = artifact_fingerprint(content_hash);
   info_.weights = artifact_weights_label(content_hash);
-  info_.threaded_embed = true;
 }
 
 std::shared_ptr<const BackendState> PaceBackend::prepare(

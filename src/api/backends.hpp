@@ -23,7 +23,7 @@ struct DeepSeqState final : BackendState {
 /// Registered as "deepseq". Supports the full task surface: regress heads
 /// (logic/transition probability, power) and the reliability readout (a
 /// ReliabilityModel forked deterministically from the same weights).
-class DeepSeqBackend : public EmbeddingBackend {
+class DeepSeqBackend final : public EmbeddingBackend {
  public:
   explicit DeepSeqBackend(const ModelConfig& config);
   /// Build from tuned weights: the architecture comes from the artifact's

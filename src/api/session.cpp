@@ -329,9 +329,6 @@ TaskResult Session::run_sync(const TaskRequest& request) {
     er.trace.kind = task_name(request.task);
     er.trace.backend_fingerprint = be->info().fingerprint;
     if (obs::tracing_enabled()) er.trace.task_id = obs::next_task_id();
-    // One scope over the embed and the task head, so both flush on the
-    // session's executor rather than nn::Executor::global().
-    nn::ExecutorScope nn_scope(engine_.executor());
     return finish(request, *be, engine_.run_sync(er));
   } catch (...) {
     metrics.failed->inc();

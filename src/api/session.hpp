@@ -106,7 +106,7 @@ struct SessionConfig {
   std::string backend = "deepseq";
   /// Construction presets handed to backend factories.
   BackendOptions backends;
-  /// Engine knobs (nn helper threads, cache capacities).
+  /// Engine knobs (cache capacities).
   runtime::EngineConfig engine;
   /// SAIF duration (cycles) power predictions are reported over.
   long long power_duration = 10000;
@@ -141,9 +141,8 @@ class Session {
   const SessionConfig& config() const { return config_; }
 
   /// Compute one task on the calling thread: structure resolve, embed and
-  /// task head all run under one nn::ExecutorScope on the engine's
-  /// executor (EngineConfig::nn_threads). Unknown backend names,
-  /// unsupported task/backend combinations and compute errors throw.
+  /// task head. Unknown backend names, unsupported task/backend
+  /// combinations and compute errors throw.
   TaskResult run_sync(const TaskRequest& request);
 
   /// Zero-downtime weight push: build a replacement backend instance from
@@ -180,10 +179,6 @@ class Session {
   runtime::CircuitCache::Stats cache_stats() const {
     return engine_.cache_stats();
   }
-  int num_threads() const { return engine_.num_threads(); }
-  /// Intra-circuit nn-executor threads (EngineConfig::nn_threads /
-  /// DEEPSEQ_NN_THREADS).
-  int nn_threads() const { return engine_.nn_threads(); }
 
  private:
   runtime::EmbeddingRequest to_engine_request(const TaskRequest& request,

@@ -8,7 +8,7 @@ namespace {
 
 /// True when everything from `p` on is whitespace: a parse is only accepted
 /// if it consumed the whole value (modulo trailing whitespace), so knobs
-/// like DEEPSEQ_GEN_FF_RATIO=1e2abc or DEEPSEQ_THREADS=8x fall back instead
+/// like DEEPSEQ_GEN_FF_RATIO=1e2abc or DEEPSEQ_SHARDS=8x fall back instead
 /// of silently truncating to a number the operator never asked for.
 bool only_trailing_whitespace(const char* p) {
   for (; *p != '\0'; ++p)

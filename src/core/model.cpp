@@ -111,10 +111,7 @@ Tensor initial_states(const CircuitGraph& graph, const Workload& w, int dim,
 
 /// Run one batched level update: gather operands, aggregate, GRU-combine,
 /// and repoint the updated nodes' states at the fresh level matrix. The
-/// whole level is recorded under one BatchScope, so the planner sees its op
-/// DAG at once: independent ops (the three gathers, the GRU gate matmuls)
-/// land in shared waves and large kernels split into row chunks across the
-/// executor's threads.
+/// whole level is recorded under one BatchScope and executes as one flush.
 void run_level(Graph& g, const LevelBatch& batch, const Aggregator& agg,
                const nn::GruCell& gru, const Var& features,
                std::vector<RowRef>& state) {
@@ -187,30 +184,6 @@ int infer_level(const LevelBatch& batch, const Aggregator& agg,
   return num_targets + 2 * num_edges;
 }
 
-/// Levels recorded per planner flush (grad mode). Grouping levels amortizes
-/// the executor's helper-enlisting cost and lets the chain planner fuse
-/// within and across levels of one group (independent chains of different
-/// levels schedule concurrently as coarse tasks). The planner sees
-/// the cross-level dependencies, so grouping never reorders computation.
-/// Retuned for chain granularity: fusion cut barriers per level by ~an
-/// order of magnitude, so doubling the group (32 -> 64) halves the
-/// remaining per-flush dispatch overhead on deep designs at a still-modest
-/// pending-intermediate footprint.
-constexpr int kLevelsPerFlush = 64;
-
-/// Run one direction sweep (all levels) in level groups.
-void run_sweep(Graph& g, const std::vector<LevelBatch>& levels,
-               const Aggregator& agg, const nn::GruCell& gru,
-               const Var& features, std::vector<RowRef>& state) {
-  std::size_t i = 0;
-  while (i < levels.size()) {
-    nn::BatchScope group(g);
-    const std::size_t end =
-        std::min(levels.size(), i + static_cast<std::size_t>(kLevelsPerFlush));
-    for (; i < end; ++i) run_level(g, levels[i], agg, gru, features, state);
-  }
-}
-
 /// Fused sweep: every level in order on the calling thread. Under an
 /// active ExecTraceScope the sweep reports as one flush whose steps are its
 /// levels (see nn::ExecStats).
@@ -245,10 +218,10 @@ Var DeepSeqModel::propagate(Graph& g, const CircuitGraph& graph,
 
   if (!g.grad_enabled()) {
     // Fused inference: every node's state is a row of one N x d tensor,
-    // updated level by level over scratch rows. No ops are recorded, so
-    // nothing is planned or scheduled; the same kernels run in the same
-    // per-element order as the recorded path below, so the embedding is
-    // bit-identical to it (tests/core/test_fused_propagation.cpp).
+    // updated level by level over scratch rows. No ops are recorded; the
+    // same kernels run in the same per-element order as the recorded path
+    // below, so the embedding is bit-identical to it
+    // (tests/core/test_fused_propagation.cpp).
     nn::kernels::refresh_from_env();
     Tensor state = std::move(h0_states);
     nn::Scratch scratch;
@@ -280,8 +253,10 @@ Var DeepSeqModel::propagate(Graph& g, const CircuitGraph& graph,
   for (int v = 0; v < graph.num_nodes; ++v) state[v] = RowRef{h0, v};
 
   for (int t = 0; t < config_.iterations; ++t) {
-    run_sweep(g, fwd, agg_fwd_, gru_fwd_, features, state);
-    run_sweep(g, rev, agg_rev_, gru_rev_, features, state);
+    for (const LevelBatch& batch : fwd)
+      run_level(g, batch, agg_fwd_, gru_fwd_, features, state);
+    for (const LevelBatch& batch : rev)
+      run_level(g, batch, agg_rev_, gru_rev_, features, state);
     if (custom) {
       // Step 4 (Fig. 2): FFs take their D predecessor's representation —
       // the clock edge. Two-phase copy so FF->FF chains shift correctly.

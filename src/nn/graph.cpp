@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "nn/executor.hpp"
 #include "nn/op.hpp"
-#include "nn/plan.hpp"
 
 namespace deepseq::nn {
 
@@ -66,8 +65,7 @@ Var Graph::record(Tensor out, Op* op) {
 
 void Graph::flush() {
   if (pending_.empty()) return;
-  Executor& exec = Executor::current();
-  exec.run(Plan::build(pending_, exec.threads()));
+  run_forward(pending_);
   // Recycle executed ops: release their references immediately (dead
   // intermediates free as early as they did on the eager tape) but keep the
   // member vectors' capacity warm for the next record. Taped ops (those
@@ -313,7 +311,7 @@ void Graph::backward(const Var& root) {
   }
   std::sort(reachable.begin(), reachable.end(),
             [](const Op* a, const Op* b) { return a->out->id > b->out->id; });
-  Executor::current().run_backward(reachable);
+  run_backward(reachable);
 }
 
 void Graph::clear() {

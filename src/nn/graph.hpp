@@ -25,13 +25,6 @@ struct VarNode {
   /// other, so deep unrolled chains can't recurse the destructor.
   Op* producer = nullptr;
   std::uint64_t id = 0;  // creation order: descending id is a reverse topo order
-  /// Planner scratch: the flush epoch this node was last scheduled in and
-  /// the producing op's index within that batch (the chain builder's
-  /// producer lookup). Written only for op outputs, only by the thread
-  /// flushing the owning graph; leaves (params, constants) are never
-  /// written, so sharing them across concurrently-flushing graphs is safe.
-  std::uint64_t plan_epoch = 0;
-  int plan_wave = 0;
 
   bool has_grad() const { return grad.rows() == value.rows() && grad.cols() == value.cols() && grad.size() > 0; }
   Tensor& ensure_grad() {
@@ -55,26 +48,23 @@ struct RowRef {
   int row = 0;
 };
 
-/// Reverse-mode autograd over a record/plan/execute pipeline. Op methods
-/// RECORD typed Op nodes (shape-checked, output tensor preallocated) instead
-/// of computing inline; a flush PLANs the recorded batch into chain tasks
-/// (nn::Plan: maximal single-consumer op chains run sequentially as one
-/// task, linked by dependency edges at true fan-in/fan-out points) and
-/// EXECUTEs them on the shared thread pool (nn::Executor,
-/// DEEPSEQ_NN_THREADS) with results bit-identical to sequential execution.
+/// Reverse-mode autograd over a record-then-execute tape. Op methods RECORD
+/// typed Op nodes (shape-checked, output tensor preallocated) instead of
+/// computing inline; a flush EXECUTEs the recorded batch on the calling
+/// thread, op by op in record order (nn::run_forward).
 ///
 /// Outside a BatchScope every op is flushed as soon as it is recorded, so
 /// `var->value` is always materialized from the caller's point of view —
-/// eager semantics, with large kernels still chunked across the pool. Inside
-/// a BatchScope (grad-mode per-level propagation) ops accumulate and are
-/// planned together on scope exit, exposing parallelism across independent
-/// chains (rows of a level, levels of a flush group) as well as within
-/// large kernels.
+/// eager semantics. Inside a BatchScope (grad-mode propagation records one
+/// level per scope) ops accumulate and run together on scope exit.
 ///
-/// The tape gives backward() a creation-order topological sort, and clear()
-/// breaks parent links iteratively to avoid deep recursive shared_ptr
-/// destruction. Construct with grad_enabled=false for inference: executed
-/// ops are discarded and intermediates free as soon as they go out of scope.
+/// The tape gives backward() a creation-order topological sort: it runs the
+/// reachable taped ops' backward kernels in descending creation id
+/// (nn::run_backward), so every gradient element accumulates in one fixed
+/// order. clear() breaks parent links iteratively to avoid deep recursive
+/// shared_ptr destruction. Construct with grad_enabled=false for inference:
+/// executed ops are discarded and intermediates free as soon as they go
+/// out of scope.
 class Graph {
  public:
   explicit Graph(bool grad_enabled = true);
@@ -132,11 +122,10 @@ class Graph {
   Var softmax_cross_entropy(const Var& logits, const std::vector<int>& labels);
 
   /// Backpropagate from a scalar (or any) root: seeds d(root)/d(root) = 1.
-  /// Flushes pending ops first; per-op backward kernels run chunked on the
-  /// executor where grad scatter targets are provably disjoint.
+  /// Flushes pending ops first.
   void backward(const Var& root);
 
-  /// Plan + execute every recorded-but-unexecuted op. A no-op when nothing
+  /// Execute every recorded-but-unexecuted op. A no-op when nothing
   /// is pending; called automatically per op outside a BatchScope and on
   /// BatchScope exit.
   void flush();
@@ -179,10 +168,9 @@ class Graph {
 };
 
 /// RAII deferred-execution region: ops recorded on `g` while the scope is
-/// alive are planned and executed together when the outermost scope exits —
-/// the unit the propagation loop hands to the planner (one level at a
-/// time). Values of Vars recorded inside are not readable until the scope
-/// closes.
+/// alive are executed together when the outermost scope exits (grad-mode
+/// propagation flushes one level at a time). Values of Vars recorded inside
+/// are not readable until the scope closes.
 class BatchScope {
  public:
   explicit BatchScope(Graph& g) : g_(g) { ++g_.batch_depth_; }

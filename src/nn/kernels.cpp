@@ -26,10 +26,10 @@ bool cpu_has_avx2() {
 #endif
 }
 
-// Process-global gate, refreshed from the env once per flush by the
-// executor. Both paths are bit-identical, so a racing refresh mid-flush
-// could at worst mix paths across kernels — results are unchanged either
-// way; relaxed ordering is sufficient.
+// Process-global gate, refreshed from the env at every flush, backward
+// pass and fused embed. Both paths are bit-identical, so a refresh racing
+// another thread's flush could at worst mix paths across kernels — results
+// are unchanged either way; relaxed ordering is sufficient.
 std::atomic<bool> g_simd_enabled{true};
 
 // ---- activation polynomials -------------------------------------------------

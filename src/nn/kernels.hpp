@@ -4,7 +4,7 @@
 
 namespace deepseq::nn::kernels {
 
-/// Vectorized chain-step primitives with a bit-identical scalar fallback.
+/// Vectorized nn kernel primitives with a bit-identical scalar fallback.
 ///
 /// Every routine here computes exactly the same per-element operation
 /// sequence on both paths: elementwise kernels apply one IEEE op per
@@ -26,17 +26,17 @@ namespace deepseq::nn::kernels {
 /// kernel; segment_softmax alone still calls libm exp, on both paths.
 ///
 /// Dispatch is runtime: the AVX2 path runs only when the host supports it
-/// AND DEEPSEQ_NN_SIMD (env_int, default 1) is nonzero. The executor
-/// refreshes the env gate once per flush and the fused inference path once
-/// per embed (refresh_from_env), so a process can A/B simd on/off between
-/// runs.
+/// AND DEEPSEQ_NN_SIMD (env_int, default 1) is nonzero. Every Graph flush
+/// and backward pass (nn::run_forward / nn::run_backward) and every fused
+/// inference embed re-reads the env gate (refresh_from_env), so a process
+/// can A/B simd on/off between runs.
 
 /// DEEPSEQ_NN_SIMD knob (env_int): 0 forces the scalar fallback;
 /// unset or any other value enables the vector path where supported.
 bool nn_simd_from_env();
 
-/// Re-read DEEPSEQ_NN_SIMD into the process-global gate. Called by the
-/// executor at each flush; cheap (one env read, one relaxed store).
+/// Re-read DEEPSEQ_NN_SIMD into the process-global gate. Called at each
+/// flush and backward pass; cheap (one env read, one relaxed store).
 void refresh_from_env();
 
 /// True when the vector path is live: host supports AVX2 and the gate is
@@ -74,11 +74,10 @@ void matmul_rows(const float* a, int lda, const float* b, int ldb, float* out,
 
 // ---- row-structured formulas -----------------------------------------------
 //
-// The per-element loops behind the executor's sigmoid/tanh/add_row/mul_col/
-// segment ops. The executor calls them on its chunk slices and the fused
-// inference path (Aggregator::infer, GruCell::infer) on whole levels, so the
-// two paths share one implementation of every formula. Row-range slices of
-// a call compute exactly the elements of the full call, bit for bit.
+// The per-element loops behind the recorded sigmoid/tanh/add_row/mul_col/
+// segment ops. Graph flushes call them on whole ops and the fused inference
+// path (Aggregator::infer, GruCell::infer) on whole levels, so the two
+// paths share one implementation of every formula.
 
 void sigmoid(float* o, const float* x, std::size_t n);  // 1 / (1 + exp(-x))
 void tanh_(float* o, const float* x, std::size_t n);

@@ -10,9 +10,8 @@
 namespace deepseq::nn {
 
 /// Operation kinds of the record layer. Every Graph op method builds one Op;
-/// the Plan fuses a flushed batch into chain tasks separated by cut waves and
-/// the Executor runs the per-kind kernels (forward and backward) over the
-/// chains' steps.
+/// nn::run_forward and nn::run_backward (executor.hpp) run the per-kind
+/// kernels, one op at a time.
 enum class OpKind : std::uint8_t {
   kAdd,
   kSub,
@@ -34,8 +33,6 @@ enum class OpKind : std::uint8_t {
   kL1LossWeighted,
   kSoftmaxXent,
 };
-
-const char* op_name(OpKind k);
 
 /// Ordered operand list with inline storage for the common case: all but
 /// concat_cols and gather reference at most two Vars, so steady-state
@@ -98,8 +95,8 @@ class InlineInputs {
   std::uint32_t size_ = 0;
 };
 
-/// One recorded operation: output node, ordered operands, and the kernel
-/// arguments the executor needs. Ops double as the autograd tape entries:
+/// One recorded operation: output node, ordered operands, and the
+/// arguments its kernels need. Ops double as the autograd tape entries:
 /// forward-pass byproducts the backward kernels consume (`argmax`, `saved`)
 /// are filled in during execution, before any backward runs.
 struct Op {

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "nn/executor.hpp"
 #include "obs/metrics.hpp"
 
 namespace deepseq::runtime {
@@ -14,12 +15,7 @@ namespace {
 /// recording is lock-free.
 struct EngineMetrics {
   obs::Registry& reg = obs::Registry::global();
-  obs::Counter& nn_chains = reg.counter("nn.chains");
   obs::Counter& nn_steps = reg.counter("nn.steps");
-  // Dependency-counted scheduling: global syncs paid and chain tasks
-  // released by finishing producers.
-  obs::Counter& nn_global_syncs = reg.counter("nn.global_syncs");
-  obs::Counter& nn_released_chains = reg.counter("nn.released_chains");
   // Node-state rows the fused inference pass read.
   obs::Counter& nn_slab_gather_rows = reg.counter("nn.slab_gather_rows");
   static EngineMetrics& get() {
@@ -42,12 +38,7 @@ obs::TraceEvent make_span(const char* name, std::uint64_t t0, std::uint64_t t1,
 }  // namespace
 
 InferenceEngine::InferenceEngine(const EngineConfig& config)
-    : cache_(config.cache),
-      pool_(config.threads),
-      nn_exec_(&pool_,
-               config.nn_threads > 0
-                   ? config.nn_threads
-                   : nn::nn_threads_from_env(pool_.num_threads())) {}
+    : cache_(config.cache) {}
 
 std::shared_ptr<const api::BackendState> InferenceEngine::resolve_structure(
     const api::EmbeddingBackend& backend, const Circuit& circuit,
@@ -121,8 +112,7 @@ EmbeddingResult InferenceEngine::run_sync(const EmbeddingRequest& request) {
 
     if (request.want_embedding) {
       // The "embed" span folds the nn layer's work (nn::ExecStats) into the
-      // task trace: fused chains, kernel steps, flushes, scheduler global
-      // syncs, released chains, state rows read, simd lanes.
+      // task trace: steps, flushes, state rows read, simd lanes.
       // The per-flush stats collection itself is gated on tracing so the
       // disabled path stays free of extra clock reads.
       const std::uint64_t t0 = tracing ? obs::trace_now_ns() : 0;
@@ -138,30 +128,19 @@ EmbeddingResult InferenceEngine::run_sync(const EmbeddingRequest& request) {
       }
       if (tracing) {
         auto& metrics = EngineMetrics::get();
-        metrics.nn_chains.inc(static_cast<std::uint64_t>(exec_stats.chains));
         metrics.nn_steps.inc(static_cast<std::uint64_t>(exec_stats.steps));
-        metrics.nn_global_syncs.inc(
-            static_cast<std::uint64_t>(exec_stats.global_syncs));
-        metrics.nn_released_chains.inc(
-            static_cast<std::uint64_t>(exec_stats.released_chains));
         metrics.nn_slab_gather_rows.inc(
             static_cast<std::uint64_t>(exec_stats.slab_gather_rows));
         obs::TraceEvent e =
             make_span("embed", t0, obs::trace_now_ns(), request.trace, digest);
-        e.arg_name[0] = "chains";
-        e.arg[0] = exec_stats.chains;
-        e.arg_name[1] = "steps";
-        e.arg[1] = exec_stats.steps;
-        e.arg_name[2] = "flushes";
-        e.arg[2] = exec_stats.flushes;
-        e.arg_name[3] = "global_syncs";
-        e.arg[3] = exec_stats.global_syncs;
-        e.arg_name[4] = "released_chains";
-        e.arg[4] = exec_stats.released_chains;
-        e.arg_name[5] = "slab_gather_rows";
-        e.arg[5] = exec_stats.slab_gather_rows;
-        e.arg_name[6] = "simd_lanes";
-        e.arg[6] = exec_stats.simd_lanes;
+        e.arg_name[0] = "steps";
+        e.arg[0] = exec_stats.steps;
+        e.arg_name[1] = "flushes";
+        e.arg[1] = exec_stats.flushes;
+        e.arg_name[2] = "slab_gather_rows";
+        e.arg[2] = exec_stats.slab_gather_rows;
+        e.arg_name[3] = "simd_lanes";
+        e.arg[3] = exec_stats.simd_lanes;
         obs::TraceSink::global().record(e);
       }
       cache_.put_embedding(ekey, embedding);

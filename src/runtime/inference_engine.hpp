@@ -4,10 +4,8 @@
 #include <memory>
 
 #include "api/backend.hpp"
-#include "nn/executor.hpp"
 #include "obs/trace.hpp"
 #include "runtime/circuit_cache.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace deepseq::runtime {
 
@@ -36,10 +34,10 @@ struct EmbeddingRequest {
 };
 
 /// The fulfilled side of a request. `embedding` is the N x hidden final
-/// node-state matrix h_v^T — bit-identical to what a direct
-/// single-threaded call to the backend's embed() produces for the same
-/// inputs. `state` is the backend's prepared structure when the request
-/// asked for it (want_state, or any computed forward pass).
+/// node-state matrix h_v^T — bit-identical to what a direct call to the
+/// backend's embed() produces for the same inputs. `state` is the backend's
+/// prepared structure when the request asked for it (want_state, or any
+/// computed forward pass).
 struct EmbeddingResult {
   std::shared_ptr<const nn::Tensor> embedding;
   std::shared_ptr<const api::BackendState> state;
@@ -58,13 +56,8 @@ struct EmbeddingResult {
 };
 
 struct EngineConfig {
-  /// Threads of the pool the nn executor draws helpers from; <= 0 uses
-  /// hardware concurrency.
-  int threads = 4;
-  /// Intra-circuit parallelism: threads the nn executor may use for one
-  /// graph flush, drawn from that pool. 0 resolves DEEPSEQ_NN_THREADS
-  /// (default: the pool size); 1 keeps every flush on the calling thread.
-  int nn_threads = 0;
+  int threads = 4;     // read by nothing; set only by bench/e2e/e2e_ledger.cpp
+  int nn_threads = 0;  // read by nothing; set only by bench/e2e/e2e_ledger.cpp
   CircuitCacheConfig cache;
 };
 
@@ -75,9 +68,8 @@ struct EngineConfig {
 /// api::Session, whose callers (the serve tier's shard workers) supply the
 /// request-level parallelism.
 ///
-/// run_sync() and regress_cached() flush graphs on the calling thread's
-/// nn::Executor::current(); api::Session opens an nn::ExecutorScope on
-/// executor() around both. All public methods are thread-safe.
+/// run_sync() and regress_cached() compute on the calling thread. All
+/// public methods are thread-safe.
 class InferenceEngine {
  public:
   explicit InferenceEngine(const EngineConfig& config);
@@ -98,11 +90,6 @@ class InferenceEngine {
       const nn::Tensor& embedding, bool* cache_hit = nullptr);
 
   CircuitCache::Stats cache_stats() const { return cache_.stats(); }
-  int num_threads() const { return pool_.num_threads(); }
-  /// Intra-circuit executor threads (the resolved nn_threads knob).
-  int nn_threads() const { return nn_exec_.threads(); }
-  /// The intra-circuit executor over this engine's pool.
-  nn::Executor& executor() { return nn_exec_; }
 
  private:
   std::shared_ptr<const api::BackendState> resolve_structure(
@@ -110,10 +97,6 @@ class InferenceEngine {
       const StructureKey& key, bool* hit);
 
   CircuitCache cache_;
-  ThreadPool pool_;
-  /// The intra-circuit executor, sharing pool_ (declared after it, so
-  /// helpers never outlive their pool).
-  nn::Executor nn_exec_;
 };
 
 }  // namespace deepseq::runtime

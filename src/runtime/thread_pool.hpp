@@ -12,7 +12,7 @@
 namespace deepseq::runtime {
 
 /// Fixed-size worker pool over a lock-based MPMC task queue — the helpers
-/// nn::Executor and the ingest frontend fan work out to. Design points:
+/// the ingest frontend fans its per-module parses out to. Design points:
 ///
 /// * submit() is safe from any thread, including from inside a task (the
 ///   queue lock is never held while running user work).

@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 namespace deepseq::serve {
@@ -61,6 +62,27 @@ Client::~Client() {
   ::close(fd_);
 }
 
+void Client::Failure::raise() const {
+  if (typed) throw ServeError(code, detail);
+  throw Error(detail);
+}
+
+void Client::Pending::fail(Failure f) {
+  switch (kind) {
+    case MsgType::kTaskRequest: task.set_value(std::move(f)); break;
+    case MsgType::kReloadRequest: reload.set_value(std::move(f)); break;
+    case MsgType::kStatsRequest: stats.set_value(std::move(f)); break;
+    default: break;
+  }
+}
+
+template <typename T>
+T Client::take(std::future<Outcome<T>>& future) {
+  Outcome<T> outcome = future.get();
+  if (const Failure* f = std::get_if<Failure>(&outcome)) f->raise();
+  return std::move(std::get<T>(outcome));
+}
+
 void Client::fail_all(const std::string& why) {
   std::map<std::uint64_t, Pending> pending;
   {
@@ -68,16 +90,7 @@ void Client::fail_all(const std::string& why) {
     closed_ = true;
     pending.swap(pending_);
   }
-  for (auto& [id, p] : pending) {
-    auto err = std::make_exception_ptr(
-        ServeError(ErrorCode::kShuttingDown, why));
-    switch (p.kind) {
-      case MsgType::kTaskRequest: p.task.set_exception(err); break;
-      case MsgType::kReloadRequest: p.reload.set_exception(err); break;
-      case MsgType::kStatsRequest: p.stats.set_exception(err); break;
-      default: break;
-    }
-  }
+  for (auto& [id, p] : pending) p.fail({true, ErrorCode::kShuttingDown, why});
 }
 
 void Client::reader_loop() {
@@ -92,7 +105,7 @@ void Client::reader_loop() {
       parser.feed(buf, static_cast<std::size_t>(n));
       while (auto frame = parser.next()) {
         std::uint64_t id = 0;
-        std::exception_ptr error;
+        std::optional<Failure> error;
         TaskResponseMsg task;
         ReloadResponseMsg reload;
         StatsResponseMsg stats;
@@ -113,7 +126,7 @@ void Client::reader_loop() {
           case MsgType::kErrorResponse: {
             ErrorResponseMsg err = decode_error_response(frame->payload);
             id = err.request_id;
-            error = std::make_exception_ptr(ServeError(err.code, err.detail));
+            error = Failure{true, err.code, std::move(err.detail)};
             break;
           }
           default:
@@ -131,15 +144,9 @@ void Client::reader_loop() {
           pending_.erase(it);
         }
         if (error) {
-          switch (p.kind) {
-            case MsgType::kTaskRequest: p.task.set_exception(error); break;
-            case MsgType::kReloadRequest: p.reload.set_exception(error); break;
-            case MsgType::kStatsRequest: p.stats.set_exception(error); break;
-            default: break;
-          }
-          continue;
-        }
-        if (p.kind == MsgType::kTaskRequest && got == MsgType::kTaskResponse) {
+          p.fail(std::move(*error));
+        } else if (p.kind == MsgType::kTaskRequest &&
+                   got == MsgType::kTaskResponse) {
           TaskReply reply;
           reply.result = std::move(task.result);
           reply.shard = static_cast<int>(task.shard);
@@ -151,15 +158,9 @@ void Client::reader_loop() {
                    got == MsgType::kStatsResponse) {
           p.stats.set_value(std::move(stats));
         } else {
-          auto err = std::make_exception_ptr(Error(
-              "serve::Client: response type does not match request " +
-              std::to_string(id)));
-          switch (p.kind) {
-            case MsgType::kTaskRequest: p.task.set_exception(err); break;
-            case MsgType::kReloadRequest: p.reload.set_exception(err); break;
-            case MsgType::kStatsRequest: p.stats.set_exception(err); break;
-            default: break;
-          }
+          p.fail({false, ErrorCode::kInternal,
+                  "serve::Client: response type does not match request " +
+                      std::to_string(id)});
         }
       }
     }
@@ -169,9 +170,7 @@ void Client::reader_loop() {
   fail_all(why);
 }
 
-void Client::send_or_fail(
-    std::uint64_t request_id, const std::string& frame,
-    const std::function<void(Pending&, std::exception_ptr)>& fail) {
+void Client::send_or_fail(std::uint64_t request_id, const std::string& frame) {
   bool ok;
   {
     std::lock_guard<std::mutex> lock(write_mu_);
@@ -192,8 +191,8 @@ void Client::send_or_fail(
   // The reader may have raced us and already failed the entry; only fail
   // what we still own.
   if (found)
-    fail(p, std::make_exception_ptr(
-                Error("serve::Client: connection write failed")));
+    p.fail({false, ErrorCode::kInternal,
+            "serve::Client: connection write failed"});
 }
 
 std::future<TaskReply> Client::submit(const api::TaskRequest& request,
@@ -207,7 +206,7 @@ std::future<TaskReply> Client::submit(const api::TaskRequest& request,
   msg.deadline_ms = deadline_ms;
   msg.circuit = *request.circuit;
   msg.workload = request.workload;
-  std::future<TaskReply> future;
+  std::future<Outcome<TaskReply>> outcome;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     if (closed_)
@@ -215,13 +214,11 @@ std::future<TaskReply> Client::submit(const api::TaskRequest& request,
     msg.request_id = next_id_++;
     Pending& p = pending_[msg.request_id];
     p.kind = MsgType::kTaskRequest;
-    future = p.task.get_future();
+    outcome = p.task.get_future();
   }
-  send_or_fail(msg.request_id, encode_frame(MsgType::kTaskRequest, encode(msg)),
-               [](Pending& p, std::exception_ptr e) {
-                 p.task.set_exception(std::move(e));
-               });
-  return future;
+  send_or_fail(msg.request_id, encode_frame(MsgType::kTaskRequest, encode(msg)));
+  return std::async(std::launch::deferred,
+                    [f = std::move(outcome)]() mutable { return take(f); });
 }
 
 TaskReply Client::run(const api::TaskRequest& request,
@@ -234,7 +231,7 @@ std::uint64_t Client::reload(const std::string& artifact_ref,
   ReloadRequestMsg msg;
   msg.backend = backend;
   msg.artifact_ref = artifact_ref;
-  std::future<ReloadResponseMsg> future;
+  std::future<Outcome<ReloadResponseMsg>> outcome;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     if (closed_)
@@ -242,19 +239,16 @@ std::uint64_t Client::reload(const std::string& artifact_ref,
     msg.request_id = next_id_++;
     Pending& p = pending_[msg.request_id];
     p.kind = MsgType::kReloadRequest;
-    future = p.reload.get_future();
+    outcome = p.reload.get_future();
   }
   send_or_fail(msg.request_id,
-               encode_frame(MsgType::kReloadRequest, encode(msg)),
-               [](Pending& p, std::exception_ptr e) {
-                 p.reload.set_exception(std::move(e));
-               });
-  return future.get().fingerprint;
+               encode_frame(MsgType::kReloadRequest, encode(msg)));
+  return take(outcome).fingerprint;
 }
 
 std::string Client::stats_json() {
   StatsRequestMsg msg;
-  std::future<StatsResponseMsg> future;
+  std::future<Outcome<StatsResponseMsg>> outcome;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     if (closed_)
@@ -262,14 +256,11 @@ std::string Client::stats_json() {
     msg.request_id = next_id_++;
     Pending& p = pending_[msg.request_id];
     p.kind = MsgType::kStatsRequest;
-    future = p.stats.get_future();
+    outcome = p.stats.get_future();
   }
   send_or_fail(msg.request_id,
-               encode_frame(MsgType::kStatsRequest, encode(msg)),
-               [](Pending& p, std::exception_ptr e) {
-                 p.stats.set_exception(std::move(e));
-               });
-  return future.get().json;
+               encode_frame(MsgType::kStatsRequest, encode(msg)));
+  return take(outcome).json;
 }
 
 }  // namespace deepseq::serve

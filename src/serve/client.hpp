@@ -7,15 +7,17 @@
 // closed-loop driver) share a single connection without coordination.
 // Typed server errors surface as ServeError carrying the wire ErrorCode,
 // which is how callers distinguish backpressure (kOverload*) from broken
-// requests and compute failures.
+// requests and compute failures. The reader hands every failure to its
+// waiter as a value; the waiting thread constructs and throws the
+// exception, so no exception object is ever shared between threads.
 
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 
 #include "common/error.hpp"
 #include "serve/protocol.hpp"
@@ -60,9 +62,11 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   /// Send one task; the future carries the reply or throws ServeError /
-  /// Error. `deadline_ms` is the server-side latency budget (0 = none) —
-  /// admission control sheds the request (future throws ServeError with
-  /// kOverloadDeadline) when its estimated queue wait exceeds it.
+  /// Error. The future is deferred: get() waits for the reply and throws on
+  /// the calling thread. `deadline_ms` is the server-side latency budget
+  /// (0 = none) — admission control sheds the request (future throws
+  /// ServeError with kOverloadDeadline) when its estimated queue wait
+  /// exceeds it.
   std::future<TaskReply> submit(const api::TaskRequest& request,
                                 std::uint32_t deadline_ms = 0);
 
@@ -79,19 +83,34 @@ class Client {
   std::string stats_json();
 
  private:
+  /// A failed request, as a value: a typed server error (ServeError) or a
+  /// client-side one (Error). raise() throws it on the calling thread.
+  struct Failure {
+    bool typed = false;
+    ErrorCode code = ErrorCode::kInternal;
+    std::string detail;  // ServeError detail, or the whole Error message
+    [[noreturn]] void raise() const;
+  };
+  template <typename T>
+  using Outcome = std::variant<T, Failure>;
+
   struct Pending {
-    std::promise<TaskReply> task;
-    std::promise<ReloadResponseMsg> reload;
-    std::promise<StatsResponseMsg> stats;
+    std::promise<Outcome<TaskReply>> task;
+    std::promise<Outcome<ReloadResponseMsg>> reload;
+    std::promise<Outcome<StatsResponseMsg>> stats;
     MsgType kind = MsgType::kTaskRequest;  // which promise is armed
+    void fail(Failure f);
   };
 
   void reader_loop();
-  /// Write one framed request; on failure, deliver the error through the
-  /// pending entry's promise (via `fail`) and drop it.
-  void send_or_fail(std::uint64_t request_id, const std::string& frame,
-                    const std::function<void(Pending&, std::exception_ptr)>& fail);
+  /// Write one framed request; on failure, fail the pending entry and drop
+  /// it.
+  void send_or_fail(std::uint64_t request_id, const std::string& frame);
   void fail_all(const std::string& why);
+  /// Wait for an outcome on the calling thread: its value, or its failure
+  /// thrown.
+  template <typename T>
+  static T take(std::future<Outcome<T>>& future);
 
   int fd_ = -1;
   std::thread reader_;

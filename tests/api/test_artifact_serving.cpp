@@ -100,7 +100,6 @@ TEST(ArtifactServing, TunedHeadsServeBitIdenticalThroughSession) {
   const auto art = artifact_for(tuned, "tuned.dsqa");
 
   SessionConfig cfg;
-  cfg.engine.threads = 2;
   cfg.backends.model = small_model();
   cfg.backends.artifact = art;
   Session session(cfg);
@@ -182,7 +181,6 @@ nn::Tensor logic_prob(const DeepSeqModel& model, const TaskRequest& req) {
 
 TEST(ArtifactServing, ReloadWeightsSwapsFingerprintAndResultsWithoutDrops) {
   SessionConfig cfg;
-  cfg.engine.threads = 2;
   cfg.backends.model = small_model();
   Session session(cfg);
 
@@ -310,7 +308,6 @@ TEST(ArtifactServing, DifferentArtifactsNeverShareCacheEntries) {
 
   SessionConfig cfg;
   cfg.backend = "tuned-a";
-  cfg.engine.threads = 2;
   Session session(cfg, registry);
 
   const auto circuit = shared_aig(3);
@@ -402,7 +399,6 @@ TEST(EnsembleBackend, EmbeddingIsMeanOverRealizations) {
 TEST(EnsembleBackend, ServesProbabilityTasksThroughSession) {
   SessionConfig cfg;
   cfg.backend = "ensemble";
-  cfg.engine.threads = 2;
   cfg.backends.model = small_model();
   cfg.backends.ensemble_k = 2;
   Session session(cfg);

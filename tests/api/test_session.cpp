@@ -12,7 +12,6 @@
 #include "dataset/generator.hpp"
 #include "netlist/aig.hpp"
 #include "netlist/scoap.hpp"
-#include "nn/executor.hpp"
 #include "nn/graph.hpp"
 #include "power/pipeline.hpp"
 #include "reliability/reliability_model.hpp"
@@ -29,9 +28,8 @@ PaceConfig small_pace() {
   return cfg;
 }
 
-SessionConfig small_session(int threads = 2) {
+SessionConfig small_session() {
   SessionConfig cfg;
-  cfg.engine.threads = threads;
   cfg.backends.model = small_model();
   cfg.backends.pace = small_pace();
   return cfg;
@@ -301,65 +299,6 @@ TEST(Session, WarmProbabilityTrafficSkipsRegressionHeads) {
       make_request(circuit, TaskKind::kLogicProb, /*workload_seed=*/21));
   EXPECT_FALSE(other.embedding_cache_hit);
   EXPECT_FALSE(other.regression_cache_hit);
-}
-
-/// A deepseq backend that records the nn executor its task heads run on.
-class ExecutorProbeBackend : public DeepSeqBackend {
- public:
-  struct Seen {
-    const nn::Executor* regress = nullptr;
-    const nn::Executor* reliability = nullptr;
-  };
-
-  ExecutorProbeBackend(const ModelConfig& config, std::shared_ptr<Seen> seen)
-      : DeepSeqBackend(config), seen_(std::move(seen)) {}
-
-  Regression regress(const nn::Tensor& embedding) const override {
-    seen_->regress = &nn::Executor::current();
-    return DeepSeqBackend::regress(embedding);
-  }
-  ReliabilityEstimate reliability(const BackendState& state, const Workload& w,
-                                  const std::vector<NodeId>& pos,
-                                  std::uint64_t init_seed) const override {
-    seen_->reliability = &nn::Executor::current();
-    return DeepSeqBackend::reliability(state, w, pos, init_seed);
-  }
-
- private:
-  std::shared_ptr<Seen> seen_;
-};
-
-TEST(Session, TaskHeadsRunOnTheSessionExecutor) {
-  auto seen = std::make_shared<ExecutorProbeBackend::Seen>();
-  BackendRegistry registry;
-  registry.register_backend("probe", [seen](const BackendOptions& options) {
-    return std::make_unique<ExecutorProbeBackend>(options.model, seen);
-  });
-  SessionConfig cfg = small_session();
-  cfg.backend = "probe";
-  cfg.engine.nn_threads = 1;
-  Session session(cfg, registry);
-
-  const auto circuit = shared_aig(18);
-  (void)session.run_sync(make_request(circuit, TaskKind::kLogicProb));
-  (void)session.run_sync(make_request(circuit, TaskKind::kReliability));
-
-  // Both heads flushed on the session's own executor, never on the
-  // process-global one (which ignores EngineConfig::nn_threads).
-  ASSERT_NE(seen->regress, nullptr);
-  ASSERT_NE(seen->reliability, nullptr);
-  EXPECT_EQ(seen->regress, seen->reliability);
-  EXPECT_NE(seen->reliability, &nn::Executor::global());
-  EXPECT_EQ(seen->reliability->threads(), session.nn_threads());
-}
-
-TEST(Session, BackendsReportThreadedEmbedCapability) {
-  Session session(small_session());
-  // DeepSeq embeds run the fused inference pass on the calling worker;
-  // PACE embeds are planned graph ops the executor may spread over threads.
-  EXPECT_FALSE(session.backend("deepseq").info().threaded_embed);
-  EXPECT_TRUE(session.backend("pace").info().threaded_embed);
-  EXPECT_GE(session.num_threads(), 1);
 }
 
 }  // namespace

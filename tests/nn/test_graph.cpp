@@ -298,6 +298,24 @@ TEST(GradCheck, GatherMulColPipeline) {
 }
 
 
+TEST(GradCheck, DiamondAndAliasedOperands) {
+  // An empty flush, a diamond (fan-out from a, fan-in at d) and aliased
+  // operands (mul(d, d) scatters twice into d's gradient).
+  Rng rng(41);
+  Var p = make_param(Tensor::xavier(3, 3, rng));
+  auto forward = [&](Graph& g) {
+    g.flush();  // nothing pending: a no-op
+    Var a = g.sigmoid(p);
+    Var b = g.scale(a, 2.0f);
+    Var c = g.tanh_(a);
+    Var d = g.add(b, c);
+    Var e = g.mul(d, d);
+    return g.l1_loss(e, Tensor(3, 3));
+  };
+  const auto res = grad_check(forward, {{"p", p}}, 1e-2f, 9);
+  EXPECT_LT(res.max_rel_error, 0.05) << "worst: " << res.worst_param;
+}
+
 TEST(Graph, SegmentMaxForwardPicksColumnwiseMax) {
   Graph g;
   Var v = param({{1.0f, -2.0f}, {0.5f, 4.0f}, {-3.0f, 0.0f}, {2.0f, 1.0f}});

@@ -1,4 +1,4 @@
-// Bit-identity pins of the SIMD chain kernels (src/nn/kernels.*): every
+// Bit-identity pins of the SIMD kernels (src/nn/kernels.*): every
 // vectorized routine must produce byte-identical output to the scalar
 // fallback — the executor's original loops and the activation polynomials —
 // on every size, including the non-multiple-of-8 tails, special values
@@ -382,8 +382,7 @@ TEST(Kernels, MatmulRowRangeMatchesWhole) {
   const auto b = pattern(static_cast<std::size_t>(k) * n, 31);
   std::vector<float> whole(static_cast<std::size_t>(m) * n, 0.0f);
   matmul_rows(a.data(), k, b.data(), n, whole.data(), n, 0, m, k, n);
-  // Row-split execution (the planner's aligned-chain slices) must compose
-  // to the same bytes.
+  // Row-range calls must compose to the whole call's bytes.
   std::vector<float> split(static_cast<std::size_t>(m) * n, 0.0f);
   matmul_rows(a.data(), k, b.data(), n, split.data(), n, 0, 2, k, n);
   matmul_rows(a.data(), k, b.data(), n, split.data(), n, 2, 5, k, n);
@@ -404,9 +403,8 @@ TEST(Kernels, MatmulRowRangeMatchesWhole) {
 }
 
 TEST(Kernels, RowFormulasSlicedMatchWholeOnBothPaths) {
-  // The executor runs add_row / mul_col on row slices and segment_sum on
-  // column slices; the fused inference pass calls them on whole levels.
-  // Both must produce the same bytes, SIMD or scalar.
+  // add_row / mul_col over row slices and segment_sum over column slices
+  // must compose to the whole call's bytes, SIMD or scalar.
   constexpr std::size_t kRows = 9, kSegs = 4;
   const std::vector<int> segment{2, 0, 3, 2, 1, 0, 0, 3, 2};
   expect_simd_scalar_identical("row formulas", [&](std::size_t cols) {

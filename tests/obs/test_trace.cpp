@@ -138,7 +138,6 @@ TEST(ObsTracePath, ValidateRejectsUnwritablePath) {
 
 api::SessionConfig small_session() {
   api::SessionConfig cfg;
-  cfg.engine.threads = 2;
   cfg.backends.model = ModelConfig::deepseq(/*hidden=*/12, /*t=*/2);
   return cfg;
 }

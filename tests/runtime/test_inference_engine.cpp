@@ -26,12 +26,6 @@ PaceConfig small_pace() {
   return cfg;
 }
 
-EngineConfig small_engine(int threads) {
-  EngineConfig cfg;
-  cfg.threads = threads;
-  return cfg;
-}
-
 /// Backend pair shared by a test: the engine owns no models, so tests own
 /// the backend instances the requests point at.
 struct Backends {
@@ -68,7 +62,7 @@ TEST(InferenceEngine, ConcurrentRunSyncMatchesDirectModelCalls) {
       shared_aig(1), shared_aig(2),
       std::make_shared<const Circuit>(decompose_to_aig(iscas89_s27()).aig)};
 
-  InferenceEngine engine(small_engine(/*threads=*/4));
+  InferenceEngine engine(EngineConfig{});
   std::vector<EmbeddingRequest> requests;
   Rng rng(99);
   for (int i = 0; i < 24; ++i) {
@@ -113,7 +107,7 @@ TEST(InferenceEngine, ConcurrentRunSyncMatchesDirectModelCalls) {
 
 TEST(InferenceEngine, RepeatRequestHitsEmbeddingCache) {
   Backends backends;
-  InferenceEngine engine(small_engine(2));
+  InferenceEngine engine(EngineConfig{});
   auto circuit = shared_aig(6);
   Rng rng(8);
   EmbeddingRequest r;
@@ -137,7 +131,7 @@ TEST(InferenceEngine, BackendsDoNotShareCacheEntries) {
   Backends backends;
   ASSERT_NE(backends.deepseq.info().fingerprint,
             backends.pace.info().fingerprint);
-  InferenceEngine engine(small_engine(2));
+  InferenceEngine engine(EngineConfig{});
   auto circuit = shared_aig(14);
   Rng rng(15);
   EmbeddingRequest r;
@@ -156,7 +150,7 @@ TEST(InferenceEngine, BackendsDoNotShareCacheEntries) {
 
 TEST(InferenceEngine, StructureSharedAcrossWorkloads) {
   Backends backends;
-  InferenceEngine engine(small_engine(2));
+  InferenceEngine engine(EngineConfig{});
   auto circuit = shared_aig(7);
   Rng rng(9);
   for (int i = 0; i < 4; ++i) {
@@ -175,7 +169,7 @@ TEST(InferenceEngine, StructureSharedAcrossWorkloads) {
 
 TEST(InferenceEngine, StateOnlyRequestSkipsForwardPass) {
   Backends backends;
-  InferenceEngine engine(small_engine(1));
+  InferenceEngine engine(EngineConfig{});
   auto circuit = shared_aig(16);
   Rng rng(17);
   EmbeddingRequest r;
@@ -219,7 +213,7 @@ Circuit renumber(const Circuit& c) {
 
 TEST(InferenceEngine, IsomorphicRenumberedCircuitGetsItsOwnEmbedding) {
   Backends backends;
-  InferenceEngine engine(small_engine(2));
+  InferenceEngine engine(EngineConfig{});
   auto a = shared_aig(20);
   auto b = std::make_shared<const Circuit>(renumber(*a));
   ASSERT_EQ(structural_hash(*a), structural_hash(*b));
@@ -248,7 +242,7 @@ TEST(InferenceEngine, IsomorphicRenumberedCircuitGetsItsOwnEmbedding) {
 
 TEST(InferenceEngine, WorkloadMismatchThrows) {
   Backends backends;
-  InferenceEngine engine(small_engine(2));
+  InferenceEngine engine(EngineConfig{});
   EmbeddingRequest r;
   r.circuit = shared_aig(11);
   r.workload.pi_prob = {0.5};  // wrong PI count
@@ -257,7 +251,7 @@ TEST(InferenceEngine, WorkloadMismatchThrows) {
 }
 
 TEST(InferenceEngine, MissingBackendThrows) {
-  InferenceEngine engine(small_engine(1));
+  InferenceEngine engine(EngineConfig{});
   EmbeddingRequest r;
   r.circuit = shared_aig(11);
   Rng rng(12);
@@ -267,7 +261,7 @@ TEST(InferenceEngine, MissingBackendThrows) {
 
 TEST(InferenceEngine, MissingCircuitThrows) {
   Backends backends;
-  InferenceEngine engine(small_engine(1));
+  InferenceEngine engine(EngineConfig{});
   EmbeddingRequest r;
   r.backend = &backends.deepseq;  // circuit left null
   EXPECT_THROW((void)engine.run_sync(r), Error);
@@ -275,7 +269,7 @@ TEST(InferenceEngine, MissingCircuitThrows) {
 
 TEST(InferenceEngine, ComputeTimeIsPopulated) {
   Backends backends;
-  InferenceEngine engine(small_engine(1));
+  InferenceEngine engine(EngineConfig{});
   auto circuit = shared_aig(12);
   Rng rng(13);
   EmbeddingRequest r;

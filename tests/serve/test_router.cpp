@@ -71,7 +71,6 @@ RouterConfig small_router(int shards, int workers = 1) {
   RouterConfig cfg;
   cfg.shards = shards;
   cfg.workers_per_shard = workers;
-  cfg.session.engine.threads = 1;
   cfg.session.backends.model = ModelConfig::deepseq(/*hidden=*/8, /*t=*/2);
   return cfg;
 }

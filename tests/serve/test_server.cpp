@@ -36,7 +36,6 @@ ServeConfig small_server(int shards = 2, int workers = 1,
   cfg.router.shards = shards;
   cfg.router.workers_per_shard = workers;
   cfg.router.admission.default_depth = depth;
-  cfg.router.session.engine.threads = 1;
   cfg.router.session.backends.model = small_model();
   return cfg;
 }

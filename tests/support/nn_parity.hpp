@@ -1,9 +1,10 @@
 #pragma once
 
-// Shared fixture and helpers of the nn bit-identity parity suites
-// (tests/nn/test_executor.cpp and tests/nn/test_plan.cpp): both must pin the
-// SAME circuit, model presets and loss recipe, or the executor and plan
-// legs would silently verify different contracts.
+// Shared fixture and helpers of the nn byte-pinning suites
+// (tests/nn/test_executor.cpp and tests/core/test_fused_propagation.cpp):
+// both must pin the SAME circuit, model presets and loss recipe, or the
+// tape digests and the fused-pass parity would silently verify different
+// contracts.
 
 #include <cstring>
 #include <vector>
@@ -11,7 +12,6 @@
 #include "core/model.hpp"
 #include "dataset/generator.hpp"
 #include "netlist/aig.hpp"
-#include "nn/executor.hpp"
 
 namespace deepseq::testsupport {
 
@@ -21,8 +21,8 @@ inline bool bit_identical(const nn::Tensor& a, const nn::Tensor& b) {
   return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
-/// A circuit wide enough that per-level kernels cross the planner's
-/// split-work threshold (so the parallel dispatch path actually runs).
+/// A generated sequential circuit with a few hundred gates over dozens of
+/// levels: wide enough that every kernel sees multi-row operands.
 struct ParityFixture {
   Circuit aig;
   CircuitGraph graph;
@@ -61,10 +61,10 @@ struct GradRun {
 };
 
 /// One full training step (forward + both L1 heads + backward) on the
-/// shared fixture under `exec`, returning the loss and every parameter
-/// gradient for memcmp comparison.
-inline GradRun train_step_with(const DeepSeqModel& model, nn::Executor& exec) {
-  nn::ExecutorScope scope(exec);
+/// shared fixture, returning the loss and every parameter gradient. The
+/// gradients stay accumulated on the model's parameters, so an optimizer
+/// step may follow.
+inline GradRun train_step_with(const DeepSeqModel& model) {
   const auto params = model.params();
   for (const auto& [name, p] : params) {
     (void)name;
