@@ -4,7 +4,8 @@
 // both embeddings bit-identical to the recorded grad-mode embedding with
 // scalar kernels (the record-then-execute path training runs). On the
 // largest design it then times one grad-mode training step (forward, the
-// logic-probability L1 head, backward) with its flush and step counts. A
+// logic-probability L1 head, backward) with its flush and step counts and
+// the backward pass's share (train_backward_ms). A
 // record-overhead micro reports ns per recorded op of the record layer.
 //
 // Emits a table and micro_propagation.json (bench_util::JsonWriter) so the
@@ -210,7 +211,8 @@ int main() {
   }
 
   // One grad-mode training step on the largest design: forward, the
-  // logic-probability L1 head and backward, with its flush and step counts.
+  // logic-probability L1 head and backward, with its flush and step counts
+  // and the time nn::run_backward took.
   {
     const Design& d = designs[largest];
     const nn::Tensor target_lg(d.graph.num_nodes, 1);
@@ -223,9 +225,12 @@ int main() {
       g.backward(g.l1_loss(out.lg, target_lg));
     }
     const double ms = t.millis();
-    std::printf("grad-mode %s training step: %.2f ms, %d flushes, %d steps\n",
-                d.name.c_str(), ms, stats.flushes, stats.steps);
+    double backward_ms = 0.0;
+    for (const double b : stats.backward_ms) backward_ms += b;
+    std::printf("grad-mode %s training step: %.2f ms (backward %.2f ms), %d flushes, %d steps\n",
+                d.name.c_str(), ms, backward_ms, stats.flushes, stats.steps);
     json.field("train_step_ms", ms);
+    json.field("train_backward_ms", backward_ms);
     json.field("train_flushes", stats.flushes);
     json.field("train_steps", stats.steps);
   }

@@ -30,8 +30,8 @@ void attention_logits(const float* a, const float* b, const Var& w1,
                       nn::Scratch& s) {
   float* bw = s.zeros(static_cast<std::size_t>(rows));
   std::fill(out, out + rows, 0.0f);
-  nn::kernels::matmul_rows(a, dim, w1->value.data(), 1, out, 1, 0, rows, dim, 1);
-  nn::kernels::matmul_rows(b, dim, w2->value.data(), 1, bw, 1, 0, rows, dim, 1);
+  nn::kernels::matmul_rows(a, dim, w1->value.data(), 1, out, 1, rows, dim, 1);
+  nn::kernels::matmul_rows(b, dim, w2->value.data(), 1, bw, 1, rows, dim, 1);
   nn::kernels::add(out, out, bw, static_cast<std::size_t>(rows));
 }
 
@@ -118,7 +118,7 @@ void Aggregator::infer(const float* hv_prev_targets, const float* hv_prev_edges,
   const auto segment_sum = [&](const float* values, float* dst) {
     std::fill(dst, dst + target_elems, 0.0f);
     nn::kernels::segment_sum(dst, values, segment.data(),
-                             static_cast<std::size_t>(edges), d, 0, d);
+                             static_cast<std::size_t>(edges), d);
   };
   switch (kind_) {
     case AggregatorKind::kConvSum: {

@@ -64,7 +64,7 @@ void fwd_matmul(const Op& op) {
   const Tensor& a = op.inputs[0]->value;
   const Tensor& bm = op.inputs[1]->value;
   kernels::matmul_rows(a.data(), a.cols(), bm.data(), bm.cols(), out.data(),
-                       out.cols(), 0, out.rows(), a.cols(), bm.cols());
+                       out.cols(), out.rows(), a.cols(), bm.cols());
 }
 
 void fwd_mul_col(const Op& op) {
@@ -99,7 +99,6 @@ void fwd_segment_sum(const Op& op) {
   const Tensor& v = op.inputs[0]->value;
   kernels::segment_sum(op.out->value.data(), v.data(), op.segment.data(),
                        static_cast<std::size_t>(v.rows()),
-                       static_cast<std::size_t>(v.cols()), 0,
                        static_cast<std::size_t>(v.cols()));
 }
 
@@ -272,36 +271,18 @@ void backward_target(Op& op, int target) {
       break;
     }
     case OpKind::kMatmul: {
+      // dA += G * B^T and dB += A^T * G, the kernels behind
+      // nn::matmul_nt_acc and nn::matmul_tn_acc.
       const Tensor& a = op.inputs[0]->value;
       const Tensor& bm = op.inputs[1]->value;
       if (target == 0) {
-        // dA += G * B^T; per-element double accumulation in ascending
-        // column order, as matmul_nt_acc does.
         Tensor& ga = op.inputs[0]->grad;
-        const int k = g.cols(), n = bm.rows();
-        for (int i = 0; i < a.rows(); ++i) {
-          const float* grow = g.row(i);
-          float* orow = ga.row(i);
-          for (int j = 0; j < n; ++j) {
-            const float* brow = bm.row(j);
-            double acc = 0.0;
-            for (int p = 0; p < k; ++p) acc += grow[p] * brow[p];
-            orow[j] += static_cast<float>(acc);
-          }
-        }
+        kernels::matmul_nt_acc(g.data(), g.cols(), bm.data(), bm.cols(), ga.data(),
+                               ga.cols(), a.rows(), g.cols(), bm.rows());
       } else {
-        // dB += A^T * G; per-element accumulation over A's rows in
-        // ascending order with the same zero-skip as matmul_tn_acc.
         Tensor& gb = op.inputs[1]->grad;
-        const int m = a.rows(), n = g.cols();
-        for (int i = 0; i < bm.rows(); ++i) {
-          float* orow = gb.row(i);
-          for (int p = 0; p < m; ++p) {
-            const float av = a.at(p, i);
-            if (av == 0.0f) continue;
-            kernels::acc_scale(orow, g.row(p), av, static_cast<std::size_t>(n));
-          }
-        }
+        kernels::matmul_tn_acc(a.data(), a.cols(), g.data(), g.cols(), gb.data(),
+                               gb.cols(), a.rows(), a.cols(), g.cols());
       }
       break;
     }
@@ -432,7 +413,10 @@ void run_forward(const std::vector<Op*>& ops) {
 }
 
 void run_backward(const std::vector<Op*>& ops) {
+  using Clock = std::chrono::steady_clock;
   kernels::refresh_from_env();
+  ExecStats* const trace = g_trace;
+  const Clock::time_point start = trace != nullptr ? Clock::now() : Clock::time_point{};
   for (Op* op : ops) {
     if (!op->out->has_grad()) continue;
     for (const Var& in : op->inputs)
@@ -445,6 +429,9 @@ void run_backward(const std::vector<Op*>& ops) {
       if (op->inputs[i]->requires_grad)
         backward_target(*op, static_cast<int>(i));
   }
+  if (trace != nullptr)
+    trace->backward_ms.push_back(
+        std::chrono::duration<double, std::milli>(Clock::now() - start).count());
 }
 
 ExecTraceScope::ExecTraceScope(ExecStats& stats) : prev_(g_trace) {

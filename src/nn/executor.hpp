@@ -13,7 +13,7 @@ namespace deepseq::nn {
 /// Per-flush execution counters, collected when an ExecTraceScope is active
 /// on the calling thread (benches and traced serving use this). A Graph
 /// flush adds one `flushes` / `flush_ms` entry and one `steps` per op it
-/// runs.
+/// runs; a Graph::backward adds one `backward_ms` entry.
 ///
 /// The fused no-grad DeepSeq pass (DeepSeqModel::embed) records no ops and
 /// reports through the same fields: one `flushes` / `flush_ms` entry per
@@ -30,6 +30,9 @@ struct ExecStats {
   int slab_gather_rows = 0;
   int simd_lanes = 1;  // kernel lane width of the last flush (8 = AVX2)
   std::vector<double> flush_ms;  // one entry per Graph::flush, in call order
+  /// One entry per Graph::backward, in call order: its backward kernels
+  /// and gradient allocation (nn::run_backward).
+  std::vector<double> backward_ms;
 };
 
 /// The execute layer, on the calling thread. Runs the forward kernels of
@@ -40,7 +43,8 @@ void run_forward(const std::vector<Op*>& ops);
 /// Runs the backward kernels of `ops` in order (Graph::backward passes the
 /// reachable taped ops in descending creation id). Each op allocates its
 /// input gradients, then accumulates into each gradient target over its
-/// full range; ops whose output got no gradient are skipped.
+/// full range; ops whose output got no gradient are skipped. Under an
+/// ExecTraceScope it appends one `backward_ms` entry.
 void run_backward(const std::vector<Op*>& ops);
 
 /// No effect; kept only because bench/e2e/e2e_ledger.cpp constructs one.

@@ -13,6 +13,7 @@ namespace deepseq::nn {
 namespace {
 
 std::atomic<std::uint64_t> g_next_id{1};
+std::atomic<std::uint64_t> g_next_backward_stamp{1};
 
 Var new_node(Tensor value, bool requires_grad) {
   auto n = std::make_shared<VarNode>();
@@ -295,18 +296,22 @@ void Graph::backward(const Var& root) {
 
   // Reachable taped ops, then descending output creation id = reverse
   // topological order (node creation order is a topo order of the DAG).
+  // A node is visited once per call: its stamp is set when it is first
+  // pushed. Only taped nodes are walked and stamped.
   std::vector<Op*> reachable;
-  {
-    std::unordered_set<VarNode*> seen;
+  if (root->producer != nullptr) {
+    const std::uint64_t stamp = g_next_backward_stamp.fetch_add(1, std::memory_order_relaxed);
+    root->backward_stamp = stamp;
     std::vector<VarNode*> work{root.get()};
-    seen.insert(root.get());
     while (!work.empty()) {
       VarNode* n = work.back();
       work.pop_back();
-      if (n->producer == nullptr) continue;
       reachable.push_back(n->producer);
       for (const auto& p : n->producer->inputs)
-        if (seen.insert(p.get()).second) work.push_back(p.get());
+        if (p->producer != nullptr && p->backward_stamp != stamp) {
+          p->backward_stamp = stamp;
+          work.push_back(p.get());
+        }
     }
   }
   std::sort(reachable.begin(), reachable.end(),

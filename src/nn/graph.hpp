@@ -25,6 +25,10 @@ struct VarNode {
   /// other, so deep unrolled chains can't recurse the destructor.
   Op* producer = nullptr;
   std::uint64_t id = 0;  // creation order: descending id is a reverse topo order
+  /// The last Graph::backward call whose reachability walk visited this
+  /// node. Written on taped nodes only (producer != null): leaves, params
+  /// and constants may be shared across threads.
+  std::uint64_t backward_stamp = 0;
 
   bool has_grad() const { return grad.rows() == value.rows() && grad.cols() == value.cols() && grad.size() > 0; }
   Tensor& ensure_grad() {

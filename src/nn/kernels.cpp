@@ -240,10 +240,10 @@ __attribute__((target("avx2"))) inline __m256 matvec_step(__m256 acc, __m256 a, 
 // ascending p with the zero-skip as a masked add — the scalar loop's exact
 // per-element sequence. Returns the first row it did not compute.
 __attribute__((target("avx2"))) int matvec_rows8_avx2(const float* a, int lda, const float* b,
-                                                      int ldb, float* out, int ldo, int rb,
-                                                      int re, int k) {
-  int i = rb;
-  for (; i + 8 <= re; i += 8) {
+                                                      int ldb, float* out, int ldo, int m,
+                                                      int k) {
+  int i = 0;
+  for (; i + 8 <= m; i += 8) {
     const float* ablock = a + static_cast<std::size_t>(i) * lda;
     float* oblock = out + static_cast<std::size_t>(i) * ldo;
     alignas(32) float lane[8];
@@ -279,10 +279,10 @@ __attribute__((target("avx2"))) int matvec_rows8_avx2(const float* a, int lda, c
 // identical regardless of the j-blocking. For n == 1 the matvec above takes
 // whole 8-row blocks and the leftover rows fall through to the j tail.
 __attribute__((target("avx2"))) void matmul_rows_avx2(const float* a, int lda, const float* b,
-                                                      int ldb, float* out, int ldo, int rb,
-                                                      int re, int k, int n) {
-  if (n == 1) rb = matvec_rows8_avx2(a, lda, b, ldb, out, ldo, rb, re, k);
-  for (int i = rb; i < re; ++i) {
+                                                      int ldb, float* out, int ldo, int m,
+                                                      int k, int n) {
+  const int first = n == 1 ? matvec_rows8_avx2(a, lda, b, ldb, out, ldo, m, k) : 0;
+  for (int i = first; i < m; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * lda;
     float* orow = out + static_cast<std::size_t>(i) * ldo;
     int j = 0;
@@ -327,6 +327,104 @@ __attribute__((target("avx2"))) void matmul_rows_avx2(const float* a, int lda, c
       orow[j] = acc;
     }
   }
+}
+
+/// A per-thread buffer for the backward matmuls' transposed operand. It
+/// only grows, so steady-state training allocates nothing here, and it is
+/// never empty, so a zero-size operand still gets a non-null base pointer.
+float* transpose_scratch(std::size_t count) {
+  thread_local std::vector<float> buf(8);
+  if (buf.size() < count) buf.resize(count);
+  return buf.data();
+}
+
+/// dst (cols x rows, row stride ldd) = src (rows x cols, row stride lds)
+/// transposed, 8x8 blocks in registers and the edges element by element.
+__attribute__((target("avx2"))) void transpose_avx2(const float* src, int lds, int rows,
+                                                    int cols, float* dst, int ldd) {
+  int r = 0;
+  for (; r + 8 <= rows; r += 8) {
+    const float* block = src + static_cast<std::size_t>(r) * lds;
+    int c = 0;
+    for (; c + 8 <= cols; c += 8) {
+      __m256 reg[8];
+      for (int q = 0; q < 8; ++q)
+        reg[q] = _mm256_loadu_ps(block + static_cast<std::size_t>(q) * lds + c);
+      transpose8(reg);
+      for (int q = 0; q < 8; ++q)
+        _mm256_storeu_ps(dst + static_cast<std::size_t>(c + q) * ldd + r, reg[q]);
+    }
+    for (; c < cols; ++c)
+      for (int q = 0; q < 8; ++q)
+        dst[static_cast<std::size_t>(c) * ldd + r + q] = block[static_cast<std::size_t>(q) * lds + c];
+  }
+  for (; r < rows; ++r)
+    for (int c = 0; c < cols; ++c)
+      dst[static_cast<std::size_t>(c) * ldd + r] = src[static_cast<std::size_t>(r) * lds + c];
+}
+
+// kQuads x 4 output columns of one dA row, one column per double lane: the
+// float product g[p] * bt[p][j], widened exactly and added to an
+// accumulator that starts at +0.0, in ascending p; then one narrowing and a
+// float add into out. That is the scalar loop's sequence per element. Only
+// the first `live` columns are written (the last quads of a row may be
+// partial or past its end).
+template <int kQuads>
+__attribute__((target("avx2"))) inline void nt_quads(const float* grow, const float* bt, int ldt,
+                                                     int k, float* orow, int live) {
+  __m256d acc[kQuads];
+  for (__m256d& v : acc) v = _mm256_setzero_pd();
+  for (int p = 0; p < k; ++p) {
+    const __m128 gv = _mm_set1_ps(grow[p]);
+    const float* brow = bt + static_cast<std::size_t>(p) * ldt;
+    for (int q = 0; q < kQuads; ++q)
+      acc[q] = _mm256_add_pd(acc[q], _mm256_cvtps_pd(_mm_mul_ps(gv, _mm_loadu_ps(brow + 4 * q))));
+  }
+  for (int q = 0; q < kQuads && 4 * q < live; ++q) {
+    const __m128 sum = _mm256_cvtpd_ps(acc[q]);
+    float* o = orow + 4 * q;
+    if (live >= 4 * (q + 1)) {
+      _mm_storeu_ps(o, _mm_add_ps(_mm_loadu_ps(o), sum));
+    } else {
+      const __m128i mask = _mm_cmpgt_epi32(_mm_set1_epi32(live - 4 * q), _mm_setr_epi32(0, 1, 2, 3));
+      _mm_maskstore_ps(o, mask, _mm_add_ps(_mm_maskload_ps(o, mask), sum));
+    }
+  }
+}
+
+// dA: out (m x n) += g (m x k) * b^T. B is transposed once into rows of
+// ldt = n rounded up to 8 floats (padding zeroed) so that output columns
+// are contiguous loads of bt; 32 columns (eight double accumulators) run
+// per pass to cover the add latency, then 8 at a time.
+__attribute__((target("avx2"))) void matmul_nt_acc_avx2(const float* g, int ldg, const float* b,
+                                                        int ldb, float* out, int ldo, int m,
+                                                        int k, int n) {
+  const int ldt = (n + 7) & ~7;
+  float* bt = transpose_scratch(static_cast<std::size_t>(k) * ldt);
+  transpose_avx2(b, ldb, n, k, bt, ldt);
+  if (ldt != n)
+    for (int p = 0; p < k; ++p)
+      std::fill(bt + static_cast<std::size_t>(p) * ldt + n,
+                bt + static_cast<std::size_t>(p + 1) * ldt, 0.0f);
+  for (int i = 0; i < m; ++i) {
+    const float* grow = g + static_cast<std::size_t>(i) * ldg;
+    float* orow = out + static_cast<std::size_t>(i) * ldo;
+    int j = 0;
+    for (; j + 32 <= n; j += 32) nt_quads<8>(grow, bt + j, ldt, k, orow + j, 32);
+    for (; j < n; j += 8) nt_quads<2>(grow, bt + j, ldt, k, orow + j, n - j);
+  }
+}
+
+// dB: out (k x n) += a^T g. A is transposed once, so every output row reads
+// one contiguous row of a^T, and matmul_rows accumulates each element over
+// ascending p with the zero-skip on a[p][i], as the row-by-row acc_scale
+// loop does (a * g and g * a are the same product).
+__attribute__((target("avx2"))) void matmul_tn_acc_avx2(const float* a, int lda, const float* g,
+                                                        int ldg, float* out, int ldo, int m,
+                                                        int k, int n) {
+  float* at = transpose_scratch(static_cast<std::size_t>(k) * m);
+  transpose_avx2(a, lda, m, k, at, m);
+  matmul_rows_avx2(at, m, g, ldg, out, ldo, k, m, n);
 }
 
 /// exp(y) for y <= 0, lane for lane the operation sequence of exp_nonpos.
@@ -379,8 +477,8 @@ __attribute__((target("avx2"))) void tanh_avx2(float* o, const float* x, std::si
 
 #endif  // defined(__x86_64__)
 
-// Scalar fallbacks — byte-for-byte the executor's original loops, plus the
-// activation polynomials above.
+// Scalar fallbacks — byte-for-byte the executor's original loops (the
+// backward matmuls included), plus the activation polynomials above.
 
 void add_scalar(float* o, const float* x, const float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) o[i] = x[i] + y[i];
@@ -413,8 +511,8 @@ void acc_scale_scalar(float* dst, const float* g, float s, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] += g[i] * s;
 }
 void matmul_rows_scalar(const float* a, int lda, const float* b, int ldb, float* out, int ldo,
-                        int rb, int re, int k, int n) {
-  for (int i = rb; i < re; ++i) {
+                        int m, int k, int n) {
+  for (int i = 0; i < m; ++i) {
     const float* arow = a + static_cast<std::size_t>(i) * lda;
     float* orow = out + static_cast<std::size_t>(i) * ldo;
     for (int p = 0; p < k; ++p) {
@@ -422,6 +520,31 @@ void matmul_rows_scalar(const float* a, int lda, const float* b, int ldb, float*
       if (av == 0.0f) continue;
       const float* brow = b + static_cast<std::size_t>(p) * ldb;
       for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
+    }
+  }
+}
+void matmul_nt_acc_scalar(const float* g, int ldg, const float* b, int ldb, float* out, int ldo,
+                          int m, int k, int n) {
+  for (int i = 0; i < m; ++i) {
+    const float* grow = g + static_cast<std::size_t>(i) * ldg;
+    float* orow = out + static_cast<std::size_t>(i) * ldo;
+    for (int j = 0; j < n; ++j) {
+      const float* brow = b + static_cast<std::size_t>(j) * ldb;
+      double acc = 0.0;
+      for (int p = 0; p < k; ++p) acc += grow[p] * brow[p];
+      orow[j] += static_cast<float>(acc);
+    }
+  }
+}
+void matmul_tn_acc_scalar(const float* a, int lda, const float* g, int ldg, float* out, int ldo,
+                          int m, int k, int n) {
+  for (int i = 0; i < k; ++i) {
+    float* orow = out + static_cast<std::size_t>(i) * ldo;
+    for (int p = 0; p < m; ++p) {
+      const float av = a[static_cast<std::size_t>(p) * lda + i];
+      if (av == 0.0f) continue;
+      acc_scale_scalar(orow, g + static_cast<std::size_t>(p) * ldg, av,
+                       static_cast<std::size_t>(n));
     }
   }
 }
@@ -477,9 +600,17 @@ void acc_mul(float* dst, const float* g, const float* o, std::size_t n) {
 void acc_scale(float* dst, const float* g, float s, std::size_t n) {
   DEEPSEQ_DISPATCH(acc_scale, dst, g, s, n);
 }
-void matmul_rows(const float* a, int lda, const float* b, int ldb, float* out, int ldo, int rb,
-                 int re, int k, int n) {
-  DEEPSEQ_DISPATCH(matmul_rows, a, lda, b, ldb, out, ldo, rb, re, k, n);
+void matmul_rows(const float* a, int lda, const float* b, int ldb, float* out, int ldo, int m,
+                 int k, int n) {
+  DEEPSEQ_DISPATCH(matmul_rows, a, lda, b, ldb, out, ldo, m, k, n);
+}
+void matmul_nt_acc(const float* g, int ldg, const float* b, int ldb, float* out, int ldo, int m,
+                   int k, int n) {
+  DEEPSEQ_DISPATCH(matmul_nt_acc, g, ldg, b, ldb, out, ldo, m, k, n);
+}
+void matmul_tn_acc(const float* a, int lda, const float* g, int ldg, float* out, int ldo, int m,
+                   int k, int n) {
+  DEEPSEQ_DISPATCH(matmul_tn_acc, a, lda, g, ldg, out, ldo, m, k, n);
 }
 void sigmoid(float* o, const float* x, std::size_t n) { DEEPSEQ_DISPATCH(sigmoid, o, x, n); }
 void tanh_(float* o, const float* x, std::size_t n) { DEEPSEQ_DISPATCH(tanh, o, x, n); }
@@ -497,11 +628,11 @@ void mul_col(float* o, const float* v, const float* col, std::size_t rows,
 }
 
 void segment_sum(float* out, const float* v, const int* segment, std::size_t rows,
-                 std::size_t cols, std::size_t cb, std::size_t ce) {
+                 std::size_t cols) {
   for (std::size_t r = 0; r < rows; ++r) {
     float* dst = out + static_cast<std::size_t>(segment[r]) * cols;
     const float* src = v + r * cols;
-    for (std::size_t c = cb; c < ce; ++c) dst[c] += src[c];
+    for (std::size_t c = 0; c < cols; ++c) dst[c] += src[c];
   }
 }
 

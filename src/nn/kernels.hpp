@@ -14,16 +14,24 @@ namespace deepseq::nn::kernels {
 /// -ffp-contract=off, so a fused multiply-add cannot change rounding on
 /// either path). For n == 1 the AVX2 matmul holds eight output rows in eight
 /// lanes (8x8 in-register transposes of A, the zero-skip as a masked add),
-/// which is still each element's scalar sequence. sigmoid and tanh are
-/// in-tree polynomials, not libm: a range-reduced exp (Cody-Waite ln 2
-/// split, degree-5 polynomial, 2^n from integer bits) and an odd tanh
-/// polynomial below |x| = 0.625, written once as a branch-free scalar body
-/// and once in AVX2 with the same op sequence. They stay within 3 ulp of a
-/// double-precision reference wherever that reference is a normal float,
-/// map NaN to NaN, sigmoid(+-inf) to 1 and 0 and tanh(+-inf) to +-1, and
-/// keep tanh(-0) = -0. The AVX2 paths therefore produce byte-identical
-/// results to the scalar paths, which tests/nn/test_kernels.cpp pins per
-/// kernel; segment_softmax alone still calls libm exp, on both paths.
+/// which is still each element's scalar sequence. The two backward matmuls
+/// keep the scalar loops' sequences too: dA (matmul_nt_acc) holds output
+/// columns in four-lane double accumulators (32 columns per pass) over a
+/// transposed B, each lane a float multiply, an exact widen and a double
+/// add in ascending p, narrowed once and added into the gradient; dB
+/// (matmul_tn_acc) transposes A once and runs matmul_rows, whose float
+/// accumulation and zero-skip are the old row-by-row acc_scale loop's.
+/// sigmoid and tanh are in-tree polynomials, not libm: a range-reduced exp
+/// (Cody-Waite ln 2 split, degree-5 polynomial, 2^n from integer bits) and
+/// an odd tanh polynomial below |x| = 0.625, written once as a branch-free
+/// scalar body and once in AVX2 with the same op sequence. They stay
+/// within 3 ulp of a double-precision reference wherever that reference is
+/// a normal float, map NaN to NaN, sigmoid(+-inf) to 1 and 0 and
+/// tanh(+-inf) to +-1, and keep tanh(-0) = -0. The AVX2 paths therefore
+/// produce byte-identical results to the scalar paths, which
+/// tests/nn/test_kernels.cpp pins per kernel; segment_softmax alone still
+/// calls libm exp, on both paths. An operation on two NaNs may carry
+/// either operand's payload, depending on the path.
 ///
 /// Dispatch is runtime: the AVX2 path runs only when the host supports it
 /// AND DEEPSEQ_NN_SIMD (env_int, default 1) is nonzero. Every Graph flush
@@ -62,7 +70,7 @@ void acc_sub(float* dst, const float* g, std::size_t n);                   // ds
 void acc_mul(float* dst, const float* g, const float* o, std::size_t n);   // dst += g * o
 void acc_scale(float* dst, const float* g, float s, std::size_t n);        // dst += g * s
 
-/// Register-blocked matmul microkernel over output rows [rb, re):
+/// Register-blocked matmul microkernel over m output rows:
 ///   out[i][j] += sum_p a[i][p] * b[p][j]
 /// accumulated per element in ascending p with the sequential kernel's
 /// zero-skip (a[i][p] == 0 contributes nothing, bit-for-bit). `lda`/`ldb`/
@@ -70,7 +78,20 @@ void acc_scale(float* dst, const float* g, float s, std::size_t n);        // ds
 /// zero-initialize it: the record layer at record time, the fused inference
 /// path per level).
 void matmul_rows(const float* a, int lda, const float* b, int ldb, float* out,
-                 int ldo, int rb, int re, int k, int n);
+                 int ldo, int m, int k, int n);
+
+/// Backward of out = A B with respect to A: out (m x n) += g (m x k) * b^T,
+/// b being n x k. Each element sums float products g[i][p] * b[j][p] into a
+/// double from +0.0 in ascending p, then adds the sum, rounded to float,
+/// into out[i][j].
+void matmul_nt_acc(const float* g, int ldg, const float* b, int ldb,
+                   float* out, int ldo, int m, int k, int n);
+
+/// Backward of out = A B with respect to B: out (k x n) += a^T * g, a being
+/// m x k and g m x n. Each element accumulates a[p][i] * g[p][j] in float
+/// over ascending p, skipping a[p][i] == 0 (matmul_rows over a^T).
+void matmul_tn_acc(const float* a, int lda, const float* g, int ldg,
+                   float* out, int ldo, int m, int k, int n);
 
 // ---- row-structured formulas -----------------------------------------------
 //
@@ -87,11 +108,10 @@ void add_row(float* o, const float* a, const float* row, std::size_t rows,
 /// o (rows x cols) = v scaled per row by col[r].
 void mul_col(float* o, const float* v, const float* col, std::size_t rows,
              std::size_t cols);
-/// out[segment[r]][c] += v[r][c] over rows r in ascending order, columns
-/// [cb, ce) of a `cols`-wide layout (out is num_segments x cols).
+/// out[segment[r]][c] += v[r][c] over rows r in ascending order (out is
+/// num_segments x cols).
 void segment_sum(float* out, const float* v, const int* segment,
-                 std::size_t rows, std::size_t cols, std::size_t cb,
-                 std::size_t ce);
+                 std::size_t rows, std::size_t cols);
 /// Softmax of the `count` scores within each of `num_segments` segments
 /// (max-shifted exp, double-precision segment sums). Not splittable.
 void segment_softmax(float* out, const float* scores, const int* segment,

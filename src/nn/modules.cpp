@@ -49,7 +49,7 @@ void Linear::infer(const float* x, int rows, float* out) const {
   const std::size_t n = static_cast<std::size_t>(rows) * out_dim_;
   std::fill(out, out + n, 0.0f);
   kernels::matmul_rows(x, in_dim_, w_->value.data(), out_dim_, out, out_dim_,
-                       0, rows, in_dim_, out_dim_);
+                       rows, in_dim_, out_dim_);
   kernels::add_row(out, out, b_->value.data(), static_cast<std::size_t>(rows),
                    static_cast<std::size_t>(out_dim_));
 }
@@ -126,9 +126,9 @@ void GruCell::infer(const float* x, const float* h, int rows, float* out,
     float* xu = s.zeros(count);
     std::fill(o, o + count, 0.0f);
     kernels::matmul_rows(x, in_dim_, w->value.data(), hidden_dim_, o,
-                         hidden_dim_, 0, rows, in_dim_, hidden_dim_);
+                         hidden_dim_, rows, in_dim_, hidden_dim_);
     kernels::matmul_rows(hh, hidden_dim_, u->value.data(), hidden_dim_, xu,
-                         hidden_dim_, 0, rows, hidden_dim_, hidden_dim_);
+                         hidden_dim_, rows, hidden_dim_, hidden_dim_);
     kernels::add(o, o, xu, count);
     kernels::add_row(o, o, b->value.data(), static_cast<std::size_t>(rows), d);
   };

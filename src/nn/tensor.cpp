@@ -77,50 +77,23 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
     throw ShapeError("matmul: inner dimension mismatch " + a.shape_string() +
                      " * " + b.shape_string());
   Tensor out(a.rows(), b.cols());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    for (int p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      const float* brow = b.row(p);
-      for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
-    }
-  }
+  kernels::matmul_rows(a.data(), a.cols(), b.data(), b.cols(), out.data(), out.cols(),
+                       a.rows(), a.cols(), b.cols());
   return out;
 }
 
 void matmul_tn_acc(const Tensor& a, const Tensor& b, Tensor& out) {
   if (a.rows() != b.rows() || out.rows() != a.cols() || out.cols() != b.cols())
     throw ShapeError("matmul_tn_acc: shape mismatch");
-  const int k = a.rows(), m = a.cols(), n = b.cols();
-  for (int p = 0; p < k; ++p) {
-    const float* arow = a.row(p);
-    const float* brow = b.row(p);
-    for (int i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* orow = out.row(i);
-      for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
-    }
-  }
+  kernels::matmul_tn_acc(a.data(), a.cols(), b.data(), b.cols(), out.data(), out.cols(),
+                         a.rows(), a.cols(), b.cols());
 }
 
 void matmul_nt_acc(const Tensor& a, const Tensor& b, Tensor& out) {
   if (a.cols() != b.cols() || out.rows() != a.rows() || out.cols() != b.rows())
     throw ShapeError("matmul_nt_acc: shape mismatch");
-  const int m = a.rows(), k = a.cols(), n = b.rows();
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a.row(i);
-    float* orow = out.row(i);
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b.row(j);
-      double acc = 0.0;
-      for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      orow[j] += static_cast<float>(acc);
-    }
-  }
+  kernels::matmul_nt_acc(a.data(), a.cols(), b.data(), b.cols(), out.data(), out.cols(),
+                         a.rows(), a.cols(), b.rows());
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {

@@ -324,8 +324,7 @@ TEST(Kernels, MatmulParityWithZeroSkip) {
     auto run = [&](bool simd) {
       set_simd(simd);
       std::vector<float> out(static_cast<std::size_t>(s.m) * s.n, 0.0f);
-      matmul_rows(a.data(), s.k, b.data(), s.n, out.data(), s.n, 0, s.m, s.k,
-                  s.n);
+      matmul_rows(a.data(), s.k, b.data(), s.n, out.data(), s.n, s.m, s.k, s.n);
       return out;
     };
     const auto vec = run(true), scl = run(false);
@@ -360,7 +359,7 @@ TEST(Kernels, MatmulParityWithZeroSkip) {
           set_simd(simd);
           std::vector<float> out(static_cast<std::size_t>(m) * stride, nan);
           for (int i = 0; i < m; ++i) out[static_cast<std::size_t>(i) * stride] = -0.0f;
-          matmul_rows(a.data(), k, b.data(), stride, out.data(), stride, 0, m, k, 1);
+          matmul_rows(a.data(), k, b.data(), stride, out.data(), stride, m, k, 1);
           return out;
         };
         const auto vec = run(true), scl = run(false);
@@ -374,64 +373,210 @@ TEST(Kernels, MatmulParityWithZeroSkip) {
   }
 }
 
-TEST(Kernels, MatmulRowRangeMatchesWhole) {
-  SimdGuard guard;
-  set_simd(true);
-  const int m = 6, k = 10, n = 35;
-  const auto a = pattern(static_cast<std::size_t>(m) * k, 30);
-  const auto b = pattern(static_cast<std::size_t>(k) * n, 31);
-  std::vector<float> whole(static_cast<std::size_t>(m) * n, 0.0f);
-  matmul_rows(a.data(), k, b.data(), n, whole.data(), n, 0, m, k, n);
-  // Row-range calls must compose to the whole call's bytes.
-  std::vector<float> split(static_cast<std::size_t>(m) * n, 0.0f);
-  matmul_rows(a.data(), k, b.data(), n, split.data(), n, 0, 2, k, n);
-  matmul_rows(a.data(), k, b.data(), n, split.data(), n, 2, 5, k, n);
-  matmul_rows(a.data(), k, b.data(), n, split.data(), n, 5, m, k, n);
-  EXPECT_TRUE(bytes_equal(whole, split));
-
-  // n == 1 splits at rows 5 and 19, so the 8-row lane blocks of each slice
-  // start off the whole call's block grid.
-  const int mv = 21;
-  const auto av = pattern(static_cast<std::size_t>(mv) * k, 32);
-  const auto bv = pattern(static_cast<std::size_t>(k), 33);
-  std::vector<float> vwhole(mv, 0.0f), vsplit(mv, 0.0f);
-  matmul_rows(av.data(), k, bv.data(), 1, vwhole.data(), 1, 0, mv, k, 1);
-  matmul_rows(av.data(), k, bv.data(), 1, vsplit.data(), 1, 0, 5, k, 1);
-  matmul_rows(av.data(), k, bv.data(), 1, vsplit.data(), 1, 5, 19, k, 1);
-  matmul_rows(av.data(), k, bv.data(), 1, vsplit.data(), 1, 19, mv, k, 1);
-  EXPECT_TRUE(bytes_equal(vwhole, vsplit));
-}
-
-TEST(Kernels, RowFormulasSlicedMatchWholeOnBothPaths) {
-  // add_row / mul_col over row slices and segment_sum over column slices
-  // must compose to the whole call's bytes, SIMD or scalar.
+TEST(Kernels, RowFormulasParity) {
   constexpr std::size_t kRows = 9, kSegs = 4;
   const std::vector<int> segment{2, 0, 3, 2, 1, 0, 0, 3, 2};
   expect_simd_scalar_identical("row formulas", [&](std::size_t cols) {
     const auto a = pattern(kRows * cols, 40), row = pattern(cols, 41);
     const auto col = pattern(kRows, 42);
-    std::vector<float> whole(kRows * cols), split(kRows * cols);
-    std::vector<float> out;
-    add_row(whole.data(), a.data(), row.data(), kRows, cols);
-    add_row(split.data(), a.data(), row.data(), 4, cols);
-    add_row(split.data() + 4 * cols, a.data() + 4 * cols, row.data(), kRows - 4, cols);
-    EXPECT_TRUE(bytes_equal(whole, split)) << "add_row slices, cols=" << cols;
-    out.insert(out.end(), whole.begin(), whole.end());
-
-    mul_col(whole.data(), a.data(), col.data(), kRows, cols);
-    mul_col(split.data(), a.data(), col.data(), 5, cols);
-    mul_col(split.data() + 5 * cols, a.data() + 5 * cols, col.data() + 5, kRows - 5, cols);
-    EXPECT_TRUE(bytes_equal(whole, split)) << "mul_col slices, cols=" << cols;
-    out.insert(out.end(), whole.begin(), whole.end());
-
-    std::vector<float> sum_whole(kSegs * cols, 0.0f), sum_split(kSegs * cols, 0.0f);
-    segment_sum(sum_whole.data(), a.data(), segment.data(), kRows, cols, 0, cols);
-    segment_sum(sum_split.data(), a.data(), segment.data(), kRows, cols, 0, cols / 2);
-    segment_sum(sum_split.data(), a.data(), segment.data(), kRows, cols, cols / 2, cols);
-    EXPECT_TRUE(bytes_equal(sum_whole, sum_split)) << "segment_sum slices, cols=" << cols;
-    out.insert(out.end(), sum_whole.begin(), sum_whole.end());
-    return out;
+    std::vector<float> out(kRows * cols);
+    std::vector<float> all;
+    add_row(out.data(), a.data(), row.data(), kRows, cols);
+    all.insert(all.end(), out.begin(), out.end());
+    mul_col(out.data(), a.data(), col.data(), kRows, cols);
+    all.insert(all.end(), out.begin(), out.end());
+    std::vector<float> sums(kSegs * cols, 0.0f);
+    segment_sum(sums.data(), a.data(), segment.data(), kRows, cols);
+    all.insert(all.end(), sums.begin(), sums.end());
+    return all;
   });
+}
+
+// ---- backward matmuls --------------------------------------------------------
+//
+// matmul_nt_acc (dA = G B^T) and matmul_tn_acc (dB = A^T G) on both paths.
+// Shapes straddle the 8-lane and 32-column blocks on every dimension, with
+// row strides wider than the rows (the gaps hold NaN, which must never be
+// read) and out starting at -0.0, so an accumulator that starts from the
+// first product instead of +0.0, or a skipped product that adds +0.0,
+// flips a sign bit.
+
+constexpr int kBackM[] = {1, 7, 8, 9, 33};
+constexpr int kBackDims[] = {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 67};
+
+/// A rows x cols matrix at row stride cols + pad, the padding NaN.
+std::vector<float> strided(const std::vector<float>& dense, int rows, int cols, int pad) {
+  const int ld = cols + pad;
+  std::vector<float> out(static_cast<std::size_t>(rows) * ld,
+                         std::numeric_limits<float>::quiet_NaN());
+  for (int r = 0; r < rows; ++r)
+    std::copy_n(dense.begin() + static_cast<std::size_t>(r) * cols, cols,
+                out.begin() + static_cast<std::size_t>(r) * ld);
+  return out;
+}
+
+/// The gradient buffer a backward kernel accumulates into: -0.0 in every
+/// element, NaN in the stride gaps.
+std::vector<float> negative_zero_out(int rows, int cols, int pad) {
+  return strided(std::vector<float>(static_cast<std::size_t>(rows) * cols, -0.0f), rows,
+                 cols, pad);
+}
+
+struct NtCase {
+  std::vector<float> g, b;  // g: m x k at ld k + 1; b: n x k at ld k + 3
+};
+
+/// dA operands: pattern() values, plus one +inf in B's row 2 and one -inf
+/// in its last row, a NaN with a payload in G's row 3 and an all -0.0 row 5
+/// of G (its sums are +0.0 + -0.0 + ... = +0.0). Each sum meets at most
+/// one infinity, and row 3 multiplies the infinities by nonzero values, so
+/// no add ever sees two NaNs (whose payload would depend on operand order).
+/// Double sums of pattern() products are almost always exact to float
+/// precision in any order, so G's row 1 holds 2^60 in column 0 and -2^60
+/// in column k / 2, over equal columns of B. Products summed between the
+/// two are rounded onto a 2^19-wide double grid, those after them are not,
+/// so reversing p changes the result.
+NtCase nt_case(int m, int k, int n, std::uint32_t seed) {
+  auto g = pattern(static_cast<std::size_t>(m) * k, seed);
+  auto b = pattern(static_cast<std::size_t>(n) * k, seed + 1);
+  const float inf = std::numeric_limits<float>::infinity();
+  if (m > 1 && k > 2) {
+    g[static_cast<std::size_t>(k)] = 0x1p60f;
+    g[static_cast<std::size_t>(k) + k / 2] = -0x1p60f;
+    for (int j = 0; j < n; ++j)
+      b[static_cast<std::size_t>(j) * k + k / 2] = b[static_cast<std::size_t>(j) * k];
+  }
+  if (n > 2) b[static_cast<std::size_t>(2) * k] = inf;
+  if (n > 3) b[static_cast<std::size_t>(n - 1) * k + (k - 1)] = -inf;
+  if (m > 3) {
+    float* row = g.data() + static_cast<std::size_t>(3) * k;
+    row[0] = row[k - 1] = 0.5f;
+    row[k / 2] = std::bit_cast<float>(0x7FC0BEEFu);
+  }
+  if (m > 5) std::fill_n(g.begin() + static_cast<std::size_t>(5) * k, k, -0.0f);
+  return {strided(g, m, k, 1), strided(b, n, k, 3)};
+}
+
+std::vector<float> run_nt(const NtCase& c, int m, int k, int n) {
+  auto out = negative_zero_out(m, n, 2);
+  matmul_nt_acc(c.g.data(), k + 1, c.b.data(), k + 3, out.data(), n + 2, m, k, n);
+  return out;
+}
+
+struct TnCase {
+  std::vector<float> a, g;  // a: m x k at ld k + 2; g: m x n at ld n + 1
+};
+
+/// dB operands: pattern() values, plus two all-zero columns of A (0 and
+/// k - 1, signs alternating) over G's row 2 of alternating infinities, so
+/// each of those products must be skipped rather than computed as NaN; a
+/// NaN with a payload in A's row 4 (its G row is finite) and an all-zero
+/// last row of G.
+TnCase tn_case(int m, int k, int n, std::uint32_t seed) {
+  auto a = pattern(static_cast<std::size_t>(m) * k, seed);
+  auto g = pattern(static_cast<std::size_t>(m) * n, seed + 1);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const int i : {0, k - 1})
+    for (int p = 0; p < m; ++p) a[static_cast<std::size_t>(p) * k + i] = p % 2 ? -0.0f : 0.0f;
+  if (m > 2)
+    for (int j = 0; j < n; ++j) g[static_cast<std::size_t>(2) * n + j] = j % 2 ? -inf : inf;
+  if (m > 4) {
+    if (k > 2) a[static_cast<std::size_t>(4) * k + 1] = std::bit_cast<float>(0x7FC0BEEFu);
+    std::fill_n(g.begin() + static_cast<std::size_t>(m - 1) * n, n, 0.0f);
+  }
+  return {strided(a, m, k, 2), strided(g, m, n, 1)};
+}
+
+std::vector<float> run_tn(const TnCase& c, int m, int k, int n) {
+  auto out = negative_zero_out(k, n, 2);
+  matmul_tn_acc(c.a.data(), k + 2, c.g.data(), n + 1, out.data(), n + 2, m, k, n);
+  return out;
+}
+
+TEST(Kernels, MatmulNtAccParity) {
+  SimdGuard guard;
+  for (const int m : kBackM)
+    for (const int k : kBackDims)
+      for (const int n : kBackDims) {
+        const NtCase c = nt_case(m, k, n, 60u + static_cast<std::uint32_t>(k * 97 + n));
+        set_simd(true);
+        const auto vec = run_nt(c, m, k, n);
+        set_simd(false);
+        const auto scl = run_nt(c, m, k, n);
+        ASSERT_TRUE(bytes_equal(vec, scl)) << "dA diverges at m=" << m << " k=" << k
+                                           << " n=" << n;
+        // G's NaN reaches every column of its row.
+        for (int j = 0; m > 3 && j < n; ++j)
+          ASSERT_TRUE(std::isnan(vec[static_cast<std::size_t>(3) * (n + 2) + j]));
+      }
+  // k == 0: every sum is its +0.0 start, so out's -0.0 becomes +0.0.
+  const std::vector<float> none(1, 0.0f);
+  for (const bool simd : {true, false}) {
+    set_simd(simd);
+    std::vector<float> out(3 * 40, -0.0f);
+    matmul_nt_acc(none.data(), 0, none.data(), 0, out.data(), 40, 3, 0, 40);
+    for (const float v : out) ASSERT_FALSE(std::signbit(v));
+  }
+}
+
+TEST(Kernels, MatmulTnAccParity) {
+  SimdGuard guard;
+  for (const int m : kBackM)
+    for (const int k : kBackDims)
+      for (const int n : kBackDims) {
+        const TnCase c = tn_case(m, k, n, 70u + static_cast<std::uint32_t>(k * 97 + n));
+        set_simd(true);
+        const auto vec = run_tn(c, m, k, n);
+        set_simd(false);
+        const auto scl = run_tn(c, m, k, n);
+        ASSERT_TRUE(bytes_equal(vec, scl)) << "dB diverges at m=" << m << " k=" << k
+                                           << " n=" << n;
+        // Column 0 of A is all zeros: out row 0 keeps its -0.0 exactly.
+        // A's NaN reaches every column of out row 1.
+        for (int j = 0; j < n; ++j) {
+          ASSERT_TRUE(std::signbit(vec[static_cast<std::size_t>(j)]));
+          if (m > 4 && k > 2) {
+            ASSERT_TRUE(std::isnan(vec[static_cast<std::size_t>(n + 2) + j]));
+          }
+        }
+      }
+}
+
+TEST(Kernels, BackwardMatmulScalarBodiesMatchNaiveReference) {
+  // The scalar bodies are the reference the SIMD paths are held to; check
+  // them once against the formulas written out here.
+  SimdGuard guard;
+  set_simd(false);
+  const int m = 9, k = 17, n = 33;
+  const NtCase nt = nt_case(m, k, n, 80);
+  std::vector<float> expect = negative_zero_out(m, n, 2);
+  for (int i = 0; i < m; ++i)
+    for (int j = 0; j < n; ++j) {
+      double sum = 0.0;
+      for (int p = 0; p < k; ++p) {
+        const float prod = nt.g[static_cast<std::size_t>(i) * (k + 1) + p] *
+                           nt.b[static_cast<std::size_t>(j) * (k + 3) + p];
+        sum += static_cast<double>(prod);
+      }
+      expect[static_cast<std::size_t>(i) * (n + 2) + j] += static_cast<float>(sum);
+    }
+  EXPECT_TRUE(bytes_equal(run_nt(nt, m, k, n), expect)) << "dA scalar body";
+
+  const TnCase tn = tn_case(m, k, n, 81);
+  expect = negative_zero_out(k, n, 2);
+  for (int i = 0; i < k; ++i)
+    for (int j = 0; j < n; ++j) {
+      float& o = expect[static_cast<std::size_t>(i) * (n + 2) + j];
+      for (int p = 0; p < m; ++p) {
+        const float av = tn.a[static_cast<std::size_t>(p) * (k + 2) + i];
+        if (av == 0.0f) continue;
+        // volatile keeps the product its own rounding: tests are not built
+        // with -ffp-contract=off, and an FMA here would round once.
+        const volatile float prod = tn.g[static_cast<std::size_t>(p) * (n + 1) + j] * av;
+        o += prod;
+      }
+    }
+  EXPECT_TRUE(bytes_equal(run_tn(tn, m, k, n), expect)) << "dB scalar body";
 }
 
 }  // namespace
