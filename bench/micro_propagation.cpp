@@ -2,11 +2,10 @@
 // For every design the bench times DeepSeqModel::embed — the fused no-grad
 // inference pass serving runs — with DEEPSEQ_NN_SIMD off and on, and checks
 // both embeddings bit-identical to the recorded grad-mode embedding with
-// scalar kernels (the record-then-execute path training runs). On the
-// largest design it then times one grad-mode training step (forward, the
-// logic-probability L1 head, backward) with its flush and step counts and
-// the backward pass's share (train_backward_ms). A
-// record-overhead micro reports ns per recorded op of the record layer.
+// scalar kernels (the eager tape training runs). On the largest design it
+// then times one grad-mode training step (forward, the logic-probability L1
+// head, backward) with its flush and step counts (one of each per op) and
+// the backward pass's share (train_backward_ms).
 //
 // Emits a table and micro_propagation.json (bench_util::JsonWriter) so the
 // perf trajectory is machine-readable across commits (the repo commits a
@@ -31,6 +30,7 @@
 #include "dataset/test_designs.hpp"
 #include "netlist/aig.hpp"
 #include "nn/executor.hpp"
+#include "nn/kernels.hpp"
 
 using namespace deepseq;
 using namespace deepseq::bench;
@@ -51,7 +51,10 @@ bool bit_identical(const nn::Tensor& a, const nn::Tensor& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
-void set_simd(bool on) { ::setenv("DEEPSEQ_NN_SIMD", on ? "1" : "0", 1); }
+void set_simd(bool on) {
+  ::setenv("DEEPSEQ_NN_SIMD", on ? "1" : "0", 1);
+  nn::kernels::refresh_from_env();
+}
 
 /// Best-of-`reps` fused embed; the first rep's output and ExecStats are
 /// returned through `out` / `stats`.
@@ -84,30 +87,6 @@ nn::Tensor recorded_embed(const DeepSeqModel& model, const Design& d) {
   set_simd(false);
   nn::Graph g(/*grad_enabled=*/true);
   return model.embed(g, d.graph, d.workload, 7)->value;
-}
-
-/// Record-layer overhead: ns to record (not execute) one small op in a
-/// steady-state no-grad graph — arena-recycled Ops, inline operand storage.
-/// The timer covers only the recording loop; the flush happens on scope
-/// exit, outside it. Best of several reps = warm free-list state.
-double measure_record_ns_per_op() {
-  nn::Graph g(/*grad_enabled=*/false);
-  const nn::Var a = nn::make_constant(nn::Tensor::full(8, 8, 0.5f));
-  const nn::Var b = nn::make_constant(nn::Tensor::full(8, 8, 0.25f));
-  constexpr int kOps = 4096;
-  double best_ms = 1e300;
-  for (int rep = 0; rep < 5; ++rep) {
-    nn::BatchScope batch(g);
-    WallTimer t;
-    nn::Var x = g.add(a, b);
-    for (int k = 1; k < kOps; k += 3) {
-      x = g.mul(x, b);
-      x = g.add(x, a);
-      x = g.sigmoid(x);
-    }
-    best_ms = std::min(best_ms, t.millis());
-  }  // scope exit flushes the recorded chain (excluded from the timer)
-  return best_ms * 1e6 / kOps;
 }
 
 }  // namespace
@@ -202,13 +181,6 @@ int main() {
   for (const double ms : largest_stats.flush_ms) json.value(ms);
   json.end_array();
   json.end_object();
-
-  // Record-layer overhead: arena-allocated, inline-operand op recording.
-  {
-    const double ns = measure_record_ns_per_op();
-    std::printf("record overhead: %.0f ns/op\n", ns);
-    json.field("record_ns_per_op", ns);
-  }
 
   // One grad-mode training step on the largest design: forward, the
   // logic-probability L1 head and backward, with its flush and step counts

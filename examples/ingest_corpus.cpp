@@ -4,8 +4,9 @@
 //
 //   ingest_corpus [dir]     (dir defaults to DEEPSEQ_CORPUS_DIR, strict)
 //
-// Knobs: DEEPSEQ_INGEST_THREADS (1 = inline, 0 = hardware), and
-// DEEPSEQ_INGEST_CHUNK (lexer window bytes, default 1 MiB). The manifest
+// Knobs: DEEPSEQ_INGEST_THREADS (0..256; 1 = inline, 0 = hardware), and
+// DEEPSEQ_INGEST_CHUNK (lexer window bytes >= 1, default 1 MiB); a value
+// that is unparsable or out of range fails naming the knob. The manifest
 // JSON (per-design name/file/bytes/nodes/FFs/levels/structural hash/parse
 // time plus scan totals and the no-slurp evidence) is written to
 // corpus_manifest.json and summarized on stdout. Exits 1 if the

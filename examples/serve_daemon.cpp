@@ -25,40 +25,15 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <limits>
 #include <string>
 
 #include "common/env.hpp"
-#include "common/error.hpp"
 #include "serve/server.hpp"
 
 using namespace deepseq;
-
-namespace {
-
-/// env_int restricted to [lo, hi]: a set value that does not parse or lies
-/// outside the range throws naming the variable, instead of being cast
-/// into some other value or serving a degenerate model.
-std::int64_t env_int_in(const char* name, std::int64_t fallback,
-                        std::int64_t lo, std::int64_t hi) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const std::int64_t v = env_int(name, lo - 1);  // unparsable -> rejected
-  if (v < lo || v > hi) {
-    const std::string range =
-        hi == std::numeric_limits<std::int64_t>::max()
-            ? ">= " + std::to_string(lo)
-            : "in " + std::to_string(lo) + ".." + std::to_string(hi);
-    throw Error(std::string(name) + "='" + raw + "': expected an integer " +
-                range);
-  }
-  return v;
-}
-
-}  // namespace
 
 int main() try {
   // Block the shutdown signals BEFORE any thread exists so every server

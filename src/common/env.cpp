@@ -1,7 +1,11 @@
 #include "common/env.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
+
+#include "common/error.hpp"
 
 namespace deepseq {
 namespace {
@@ -16,15 +20,39 @@ bool only_trailing_whitespace(const char* p) {
   return true;
 }
 
+/// Parse all of `v` (modulo trailing whitespace) as a base-10 integer that
+/// fits in int64.
+bool parse_int(const char* v, std::int64_t& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(v, &end, 10);
+  if (end == v || errno == ERANGE || !only_trailing_whitespace(end)) return false;
+  out = parsed;
+  return true;
+}
+
 }  // namespace
 
 std::int64_t env_int(const char* name, std::int64_t fallback) {
   const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v || !only_trailing_whitespace(end)) return fallback;
-  return parsed;
+  std::int64_t parsed = 0;
+  return v != nullptr && parse_int(v, parsed) ? parsed : fallback;
+}
+
+std::int64_t env_int_in(const char* name, std::int64_t fallback,
+                        std::int64_t lo, std::int64_t hi) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr || *raw == '\0') return fallback;
+  std::int64_t v = 0;
+  if (!parse_int(raw, v) || v < lo || v > hi) {
+    const std::string range =
+        hi == std::numeric_limits<std::int64_t>::max()
+            ? ">= " + std::to_string(lo)
+            : "in " + std::to_string(lo) + ".." + std::to_string(hi);
+    throw Error(std::string(name) + "='" + raw + "': expected an integer " +
+                range);
+  }
+  return v;
 }
 
 double env_double(const char* name, double fallback) {

@@ -110,12 +110,10 @@ Tensor initial_states(const CircuitGraph& graph, const Workload& w, int dim,
 }
 
 /// Run one batched level update: gather operands, aggregate, GRU-combine,
-/// and repoint the updated nodes' states at the fresh level matrix. The
-/// whole level is recorded under one BatchScope and executes as one flush.
+/// and repoint the updated nodes' states at the fresh level matrix.
 void run_level(Graph& g, const LevelBatch& batch, const Aggregator& agg,
                const nn::GruCell& gru, const Var& features,
                std::vector<RowRef>& state) {
-  nn::BatchScope level_scope(g);
   const int num_targets = static_cast<int>(batch.targets.size());
   std::vector<RowRef> target_refs, edge_target_refs, source_refs, feat_refs;
   target_refs.reserve(batch.targets.size());
@@ -222,7 +220,6 @@ Var DeepSeqModel::propagate(Graph& g, const CircuitGraph& graph,
     // same kernels run in the same per-element order as the recorded path
     // below, so the embedding is bit-identical to it
     // (tests/core/test_fused_propagation.cpp).
-    nn::kernels::refresh_from_env();
     Tensor state = std::move(h0_states);
     nn::Scratch scratch;
     for (int t = 0; t < config_.iterations; ++t) {

@@ -55,8 +55,8 @@ std::uint64_t mix_config(std::uint64_t h, const ModelConfig& m);
 /// per node.
 ///
 /// Propagation has two executions of one formula. A grad-enabled Graph
-/// records every level as taped ops, one flush per level (training needs
-/// the tape). A no-grad Graph runs the fused inference pass: each level
+/// records every level as taped ops, each run as it is recorded (training
+/// needs the tape). A no-grad Graph runs the fused inference pass: each level
 /// over scratch rows of one N x d state tensor through Aggregator::infer /
 /// GruCell::infer, with no ops recorded; the result is bit-identical to the
 /// recorded path. Both run on the calling thread.

@@ -4,6 +4,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -166,21 +167,15 @@ std::vector<ParsedModule> run_stream(
 
 std::size_t IngestOptions::resolved_chunk_bytes() const {
   if (chunk_bytes > 0) return chunk_bytes;
-  const std::int64_t v =
-      env_int("DEEPSEQ_INGEST_CHUNK", static_cast<std::int64_t>(kDefaultChunkBytes));
-  if (v <= 0)
-    throw Error("DEEPSEQ_INGEST_CHUNK must be a positive byte count, got " +
-                env_string("DEEPSEQ_INGEST_CHUNK", ""));
-  return static_cast<std::size_t>(v);
+  return static_cast<std::size_t>(
+      env_int_in("DEEPSEQ_INGEST_CHUNK", static_cast<std::int64_t>(kDefaultChunkBytes),
+                 1, std::numeric_limits<std::int64_t>::max()));
 }
 
 int IngestOptions::resolved_threads() const {
-  std::int64_t v = threads;
-  if (v < 0) v = env_int("DEEPSEQ_INGEST_THREADS", 1);
-  if (v < 0)
-    throw Error("DEEPSEQ_INGEST_THREADS must be >= 0, got " +
-                env_string("DEEPSEQ_INGEST_THREADS", ""));
-  return static_cast<int>(v);  // 0 = one worker per hardware thread
+  if (threads >= 0) return threads;
+  // 0 = one worker per hardware thread
+  return static_cast<int>(env_int_in("DEEPSEQ_INGEST_THREADS", 1, 0, 256));
 }
 
 std::vector<ParsedModule> parse_verilog_modules_file(const std::string& path,

@@ -15,12 +15,14 @@ namespace deepseq::ingest {
 
 /// Knobs of the streaming frontend. Zero/negative values defer to the
 /// environment: chunk_bytes 0 reads DEEPSEQ_INGEST_CHUNK (default 1 MiB,
-/// must parse to a positive integer), threads < 0 reads
+/// must parse to an integer >= 1), threads < 0 reads
 /// DEEPSEQ_INGEST_THREADS (default 1 = parse inline on the calling
-/// thread; 0 = one worker per hardware thread). Results are bit-identical
-/// at every chunk size and thread count by construction: one lexer feeds
-/// fixed-size windows in order, and each module's token slice runs through
-/// the same `parse_verilog_tokens` the legacy parser uses.
+/// thread; 0 = one worker per hardware thread; at most 256). A set value
+/// that does not parse or lies outside its range throws naming the
+/// variable (env_int_in). Results are bit-identical at every chunk size
+/// and thread count by construction: one lexer feeds fixed-size windows in
+/// order, and each module's token slice runs through the same
+/// `parse_verilog_tokens` the legacy parser uses.
 struct IngestOptions {
   std::size_t chunk_bytes = 0;
   int threads = -1;

@@ -200,7 +200,7 @@ void forward_kernel(Op& op) {
 // backward_target accumulates the op's output gradient into the gradient of
 // operand `target` (the unique-Var list index; gather scatters into every
 // referenced Var at once). Per element, contributions land in a fixed order:
-// ops in descending creation id, an op's targets in operand order, rows in
+// ops in reverse record order, an op's targets in operand order, rows in
 // ascending order within a target.
 
 void backward_target(Op& op, int target) {
@@ -398,26 +398,25 @@ void backward_target(Op& op, int target) {
 
 }  // namespace
 
-void run_forward(const std::vector<Op*>& ops) {
+void run_forward(Op& op) {
   using Clock = std::chrono::steady_clock;
-  kernels::refresh_from_env();
   const Clock::time_point start =
       g_trace != nullptr ? Clock::now() : Clock::time_point{};
-  for (Op* op : ops) forward_kernel(*op);
+  forward_kernel(op);
   if (g_trace == nullptr) return;
   g_trace->flushes += 1;
-  g_trace->steps += static_cast<int>(ops.size());
+  g_trace->steps += 1;
   g_trace->simd_lanes = kernels::lanes();
   g_trace->flush_ms.push_back(
       std::chrono::duration<double, std::milli>(Clock::now() - start).count());
 }
 
-void run_backward(const std::vector<Op*>& ops) {
+void run_backward(const std::vector<Op*>& tape) {
   using Clock = std::chrono::steady_clock;
-  kernels::refresh_from_env();
   ExecStats* const trace = g_trace;
   const Clock::time_point start = trace != nullptr ? Clock::now() : Clock::time_point{};
-  for (Op* op : ops) {
+  for (auto it = tape.rbegin(); it != tape.rend(); ++it) {
+    Op* op = *it;
     if (!op->out->has_grad()) continue;
     for (const Var& in : op->inputs)
       if (in->requires_grad) in->ensure_grad();

@@ -10,10 +10,10 @@ class ThreadPool;
 
 namespace deepseq::nn {
 
-/// Per-flush execution counters, collected when an ExecTraceScope is active
-/// on the calling thread (benches and traced serving use this). A Graph
-/// flush adds one `flushes` / `flush_ms` entry and one `steps` per op it
-/// runs; a Graph::backward adds one `backward_ms` entry.
+/// Execution counters, collected when an ExecTraceScope is active on the
+/// calling thread (benches and traced serving use this). Every op a Graph
+/// records counts as one flush: one `flushes` / `flush_ms` entry and one
+/// `steps`; a Graph::backward adds one `backward_ms` entry.
 ///
 /// The fused no-grad DeepSeq pass (DeepSeqModel::embed) records no ops and
 /// reports through the same fields: one `flushes` / `flush_ms` entry per
@@ -29,23 +29,23 @@ struct ExecStats {
   /// predates the fused pass and is kept for readers of the counter.
   int slab_gather_rows = 0;
   int simd_lanes = 1;  // kernel lane width of the last flush (8 = AVX2)
-  std::vector<double> flush_ms;  // one entry per Graph::flush, in call order
+  std::vector<double> flush_ms;  // one entry per flush, in call order
   /// One entry per Graph::backward, in call order: its backward kernels
   /// and gradient allocation (nn::run_backward).
   std::vector<double> backward_ms;
 };
 
-/// The execute layer, on the calling thread. Runs the forward kernels of
-/// `ops` in order (Graph::flush passes its pending ops in record order) and
-/// fills taped ops' backward byproducts (argmax, saved).
-void run_forward(const std::vector<Op*>& ops);
+/// The execute layer, on the calling thread. Runs `op`'s forward kernel
+/// (Graph::record calls it once per op) and fills a taped op's backward
+/// byproducts (argmax, saved).
+void run_forward(Op& op);
 
-/// Runs the backward kernels of `ops` in order (Graph::backward passes the
-/// reachable taped ops in descending creation id). Each op allocates its
+/// Walks `tape` from last to first (Graph::backward passes its tape, which
+/// is in record order) and runs the backward kernels of every op whose
+/// output got a gradient; the others are skipped. Each op allocates its
 /// input gradients, then accumulates into each gradient target over its
-/// full range; ops whose output got no gradient are skipped. Under an
-/// ExecTraceScope it appends one `backward_ms` entry.
-void run_backward(const std::vector<Op*>& ops);
+/// full range. Under an ExecTraceScope it appends one `backward_ms` entry.
+void run_backward(const std::vector<Op*>& tape);
 
 /// No effect; kept only because bench/e2e/e2e_ledger.cpp constructs one.
 class Executor {
@@ -60,8 +60,8 @@ class ExecutorScope {
   explicit ExecutorScope(Executor&) {}
 };
 
-/// RAII per-flush stats collection on the calling thread (benches and
-/// traced serving).
+/// RAII stats collection on the calling thread (benches and traced
+/// serving).
 class ExecTraceScope {
  public:
   explicit ExecTraceScope(ExecStats& stats);

@@ -1,7 +1,5 @@
 #include "nn/graph.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <unordered_set>
 
 #include "common/error.hpp"
@@ -12,14 +10,10 @@ namespace deepseq::nn {
 
 namespace {
 
-std::atomic<std::uint64_t> g_next_id{1};
-std::atomic<std::uint64_t> g_next_backward_stamp{1};
-
 Var new_node(Tensor value, bool requires_grad) {
   auto n = std::make_shared<VarNode>();
   n->value = std::move(value);
   n->requires_grad = requires_grad;
-  n->id = g_next_id.fetch_add(1, std::memory_order_relaxed);
   return n;
 }
 
@@ -47,36 +41,25 @@ Graph::Graph(bool grad_enabled) : grad_enabled_(grad_enabled) {}
 Graph::~Graph() { clear(); }
 
 // The record layer's single registration point: the output node is created
-// with its final shape (zero-filled — kernels that accumulate rely on it),
-// the op joins the pending batch, and the tape additionally retains it when
-// gradients will flow. Outside a BatchScope the batch is flushed
-// immediately, preserving eager `var->value` semantics for every caller.
+// with its final shape (zero-filled — kernels that accumulate rely on it)
+// and the op runs at once. Ops whose output needs a gradient stay on the
+// tape for backward(); everything else — every op of a no-grad graph, and
+// ops of a grad graph whose inputs all lack requires_grad, like the
+// per-level feature gathers — releases its references now (dead
+// intermediates free early) and returns to the free list with warm member
+// vectors.
 Var Graph::record(Tensor out, Op* op) {
   const bool needs = grad_enabled_ && any_requires_grad(op->inputs);
   Var n = new_node(std::move(out), needs);
   op->out = n;
-  pending_.push_back(op);
+  run_forward(*op);
   if (needs) {
     n->producer = op;
     tape_.push_back(op);
+  } else {
+    recycle(op);
   }
-  if (batch_depth_ == 0) flush();
   return n;
-}
-
-void Graph::flush() {
-  if (pending_.empty()) return;
-  run_forward(pending_);
-  // Recycle executed ops: release their references immediately (dead
-  // intermediates free as early as they did on the eager tape) but keep the
-  // member vectors' capacity warm for the next record. Taped ops (those
-  // whose output points back at them as producer) must survive for
-  // backward(); everything else — every op of a no-grad graph, and ops of
-  // a grad graph whose inputs all lack requires_grad, like the per-level
-  // feature gathers — returns to the free list now.
-  for (Op* op : pending_)
-    if (op->out->producer != op) recycle(op);
-  pending_.clear();
 }
 
 void Graph::recycle(Op* op) {
@@ -291,36 +274,14 @@ Var Graph::softmax_cross_entropy(const Var& logits,
 
 void Graph::backward(const Var& root) {
   if (!grad_enabled_) throw Error("Graph::backward: gradients disabled");
-  flush();
+  if (backward_ran_)
+    throw Error("Graph::backward: already ran on this Graph; record a new Graph");
+  backward_ran_ = true;
   root->ensure_grad().fill(1.0f);
-
-  // Reachable taped ops, then descending output creation id = reverse
-  // topological order (node creation order is a topo order of the DAG).
-  // A node is visited once per call: its stamp is set when it is first
-  // pushed. Only taped nodes are walked and stamped.
-  std::vector<Op*> reachable;
-  if (root->producer != nullptr) {
-    const std::uint64_t stamp = g_next_backward_stamp.fetch_add(1, std::memory_order_relaxed);
-    root->backward_stamp = stamp;
-    std::vector<VarNode*> work{root.get()};
-    while (!work.empty()) {
-      VarNode* n = work.back();
-      work.pop_back();
-      reachable.push_back(n->producer);
-      for (const auto& p : n->producer->inputs)
-        if (p->producer != nullptr && p->backward_stamp != stamp) {
-          p->backward_stamp = stamp;
-          work.push_back(p.get());
-        }
-    }
-  }
-  std::sort(reachable.begin(), reachable.end(),
-            [](const Op* a, const Op* b) { return a->out->id > b->out->id; });
-  run_backward(reachable);
+  run_backward(tape_);
 }
 
 void Graph::clear() {
-  flush();
   for (Op* op : tape_) {
     op->out->producer = nullptr;
     recycle(op);

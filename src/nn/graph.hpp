@@ -12,9 +12,8 @@ namespace deepseq::nn {
 struct Op;  // op.hpp: the typed operation record built by the record layer
 enum class OpKind : std::uint8_t;
 
-/// A node in the computation graph. `value` is allocated (with its final
-/// shape) as soon as the node is recorded and filled in when the owning
-/// Graph flushes; `grad` is allocated lazily during backward().
+/// A node in the computation graph. `value` holds the op's output as soon
+/// as the op method returns; `grad` is allocated lazily during backward().
 struct VarNode {
   Tensor value;
   Tensor grad;  // empty until needed
@@ -24,11 +23,6 @@ struct VarNode {
   /// creation-ordered destruction is iterative — nodes never point at each
   /// other, so deep unrolled chains can't recurse the destructor.
   Op* producer = nullptr;
-  std::uint64_t id = 0;  // creation order: descending id is a reverse topo order
-  /// The last Graph::backward call whose reachability walk visited this
-  /// node. Written on taped nodes only (producer != null): leaves, params
-  /// and constants may be shared across threads.
-  std::uint64_t backward_stamp = 0;
 
   bool has_grad() const { return grad.rows() == value.rows() && grad.cols() == value.cols() && grad.size() > 0; }
   Tensor& ensure_grad() {
@@ -52,23 +46,26 @@ struct RowRef {
   int row = 0;
 };
 
-/// Reverse-mode autograd over a record-then-execute tape. Op methods RECORD
-/// typed Op nodes (shape-checked, output tensor preallocated) instead of
-/// computing inline; a flush EXECUTEs the recorded batch on the calling
-/// thread, op by op in record order (nn::run_forward).
+/// Reverse-mode autograd over an eager tape. Each op method builds one
+/// typed Op (shape-checked, output tensor preallocated) and runs its
+/// forward kernel at once on the calling thread (nn::run_forward), so
+/// `var->value` is ready when the method returns. The op stays on the tape
+/// when its output needs a gradient and is recycled otherwise.
 ///
-/// Outside a BatchScope every op is flushed as soon as it is recorded, so
-/// `var->value` is always materialized from the caller's point of view —
-/// eager semantics. Inside a BatchScope (grad-mode propagation records one
-/// level per scope) ops accumulate and run together on scope exit.
-///
-/// The tape gives backward() a creation-order topological sort: it runs the
-/// reachable taped ops' backward kernels in descending creation id
-/// (nn::run_backward), so every gradient element accumulates in one fixed
-/// order. clear() breaks parent links iteratively to avoid deep recursive
+/// The tape is in record order, a topological order of the DAG, so
+/// backward() walks it from last to first (nn::run_backward) and runs every
+/// op whose output got a gradient: exactly the ops the root depends on, and
+/// every gradient element accumulates in one fixed order. The walk rests on
+/// two rules:
+///  - backward() runs at most once per Graph; a second call throws. The
+///    walk needs every intermediate to start with no gradient.
+///  - No op is recorded over a Var taped on another live Graph. The walk
+///    sees only this Graph's tape, so no gradient would flow back through
+///    the other Graph's ops.
+/// clear() breaks parent links iteratively to avoid deep recursive
 /// shared_ptr destruction. Construct with grad_enabled=false for inference:
-/// executed ops are discarded and intermediates free as soon as they go
-/// out of scope.
+/// every op is recycled as soon as it ran, and intermediates free as soon
+/// as they go out of scope.
 class Graph {
  public:
   explicit Graph(bool grad_enabled = true);
@@ -126,31 +123,24 @@ class Graph {
   Var softmax_cross_entropy(const Var& logits, const std::vector<int>& labels);
 
   /// Backpropagate from a scalar (or any) root: seeds d(root)/d(root) = 1.
-  /// Flushes pending ops first.
+  /// Throws deepseq::Error when gradients are disabled or when backward
+  /// already ran on this Graph.
   void backward(const Var& root);
 
-  /// Execute every recorded-but-unexecuted op. A no-op when nothing
-  /// is pending; called automatically per op outside a BatchScope and on
-  /// BatchScope exit.
-  void flush();
-
-  /// Flush, then break all graph links recorded on this tape (values stay
-  /// valid).
+  /// Break all graph links recorded on this tape (values stay valid).
   void clear();
 
   std::size_t tape_size() const { return tape_.size(); }
 
  private:
-  friend class BatchScope;
-
-  /// Allocate the output node for `op`, register it with the pending batch
-  /// (and the tape when gradients are required), and flush unless inside a
-  /// BatchScope.
+  /// Allocate the output node for `op`, run the op's forward kernel, and
+  /// keep the op on the tape when its output requires a gradient (recycle
+  /// it otherwise).
   Var record(Tensor out, Op* op);
 
   /// A fresh (or recycled) Op to record into. Ops live in a Graph-owned
-  /// block arena: no-grad graphs return executed ops to a free list on
-  /// flush (grad graphs on clear()), so steady-state inference re-records
+  /// block arena: ops that stay off the tape return to a free list as soon
+  /// as they ran (taped ops on clear()), so steady-state inference re-records
   /// into warm Op objects whose member vectors keep their capacity —
   /// near-zero allocation per op, and no per-op control-block churn.
   Op* acquire_op(OpKind kind);
@@ -160,32 +150,14 @@ class Graph {
   void recycle(Op* op);
 
   bool grad_enabled_;
-  int batch_depth_ = 0;
-  std::vector<Op*> pending_;   // recorded, not yet executed
-  std::vector<Op*> tape_;      // retained for backward()
+  bool backward_ran_ = false;
+  std::vector<Op*> tape_;      // retained for backward(), in record order
   std::vector<Op*> free_ops_;  // recycling pool
 
   /// Arena blocks owning every Op this graph ever recorded. Freed with the
   /// graph; recycled slots are reused in LIFO order (hot in cache).
   std::vector<std::unique_ptr<Op[]>> arena_;
   std::size_t arena_used_ = 0;  // slots handed out of arena_.back()
-};
-
-/// RAII deferred-execution region: ops recorded on `g` while the scope is
-/// alive are executed together when the outermost scope exits (grad-mode
-/// propagation flushes one level at a time). Values of Vars recorded inside
-/// are not readable until the scope closes.
-class BatchScope {
- public:
-  explicit BatchScope(Graph& g) : g_(g) { ++g_.batch_depth_; }
-  ~BatchScope() {
-    if (--g_.batch_depth_ == 0) g_.flush();
-  }
-  BatchScope(const BatchScope&) = delete;
-  BatchScope& operator=(const BatchScope&) = delete;
-
- private:
-  Graph& g_;
 };
 
 }  // namespace deepseq::nn

@@ -26,11 +26,11 @@ bool cpu_has_avx2() {
 #endif
 }
 
-// Process-global gate, refreshed from the env at every flush, backward
-// pass and fused embed. Both paths are bit-identical, so a refresh racing
-// another thread's flush could at worst mix paths across kernels — results
-// are unchanged either way; relaxed ordering is sufficient.
-std::atomic<bool> g_simd_enabled{true};
+// Process-global gate, read from the env once at startup and again only on
+// an explicit refresh. Both paths are bit-identical, so a refresh racing
+// another thread's kernels could at worst mix paths across kernels —
+// results are unchanged either way; relaxed ordering is sufficient.
+std::atomic<bool> g_simd_enabled{nn_simd_from_env()};
 
 // ---- activation polynomials -------------------------------------------------
 //

@@ -34,17 +34,16 @@ namespace deepseq::nn::kernels {
 /// either operand's payload, depending on the path.
 ///
 /// Dispatch is runtime: the AVX2 path runs only when the host supports it
-/// AND DEEPSEQ_NN_SIMD (env_int, default 1) is nonzero. Every Graph flush
-/// and backward pass (nn::run_forward / nn::run_backward) and every fused
-/// inference embed re-reads the env gate (refresh_from_env), so a process
-/// can A/B simd on/off between runs.
+/// AND DEEPSEQ_NN_SIMD (env_int, default 1) is nonzero. The process reads
+/// the gate once at startup; a test or bench that flips DEEPSEQ_NN_SIMD
+/// in-process re-reads it through the refresh below.
 
 /// DEEPSEQ_NN_SIMD knob (env_int): 0 forces the scalar fallback;
 /// unset or any other value enables the vector path where supported.
 bool nn_simd_from_env();
 
-/// Re-read DEEPSEQ_NN_SIMD into the process-global gate. Called at each
-/// flush and backward pass; cheap (one env read, one relaxed store).
+/// Re-read DEEPSEQ_NN_SIMD into the process-global gate (one env read, one
+/// relaxed store).
 void refresh_from_env();
 
 /// True when the vector path is live: host supports AVX2 and the gate is
@@ -96,7 +95,7 @@ void matmul_tn_acc(const float* a, int lda, const float* g, int ldg,
 // ---- row-structured formulas -----------------------------------------------
 //
 // The per-element loops behind the recorded sigmoid/tanh/add_row/mul_col/
-// segment ops. Graph flushes call them on whole ops and the fused inference
+// segment ops. Graph records call them on whole ops and the fused inference
 // path (Aggregator::infer, GruCell::infer) on whole levels, so the two
 // paths share one implementation of every formula.
 

@@ -9,9 +9,9 @@
 
 namespace deepseq::nn {
 
-/// Operation kinds of the record layer. Every Graph op method builds one Op;
-/// nn::run_forward and nn::run_backward (executor.hpp) run the per-kind
-/// kernels, one op at a time.
+/// Operation kinds of the record layer. Every Graph op method builds one Op
+/// and runs its forward kernel at once (nn::run_forward); nn::run_backward
+/// (executor.hpp) walks the taped ones from last to first.
 enum class OpKind : std::uint8_t {
   kAdd,
   kSub,
@@ -98,7 +98,7 @@ class InlineInputs {
 /// One recorded operation: output node, ordered operands, and the
 /// arguments its kernels need. Ops double as the autograd tape entries:
 /// forward-pass byproducts the backward kernels consume (`argmax`, `saved`)
-/// are filled in during execution, before any backward runs.
+/// are filled in when the op is recorded, before any backward runs.
 struct Op {
   OpKind kind = OpKind::kAdd;
   Var out;

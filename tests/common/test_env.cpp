@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace deepseq {
 namespace {
@@ -21,6 +25,8 @@ TEST(Env, ReadsIntegerValue) {
 
 TEST(Env, UnparsableFallsBack) {
   ::setenv("DEEPSEQ_TEST_KNOB", "abc", 1);
+  EXPECT_EQ(env_int("DEEPSEQ_TEST_KNOB", 9), 9);
+  ::setenv("DEEPSEQ_TEST_KNOB", "99999999999999999999", 1);  // past int64
   EXPECT_EQ(env_int("DEEPSEQ_TEST_KNOB", 9), 9);
   ::unsetenv("DEEPSEQ_TEST_KNOB");
 }
@@ -55,6 +61,40 @@ TEST(Env, NegativeAndFractionalValuesStillParse) {
   EXPECT_EQ(env_int("DEEPSEQ_TEST_KNOB", 3), -4);
   ::setenv("DEEPSEQ_TEST_KNOB", "0.25", 1);
   EXPECT_DOUBLE_EQ(env_double("DEEPSEQ_TEST_KNOB", 1.0), 0.25);
+  ::unsetenv("DEEPSEQ_TEST_KNOB");
+}
+
+TEST(Env, RangedIntReturnsInRangeValuesAndFallback) {
+  ::unsetenv("DEEPSEQ_TEST_KNOB");
+  EXPECT_EQ(env_int_in("DEEPSEQ_TEST_KNOB", 7, 1, 64), 7);
+  ::setenv("DEEPSEQ_TEST_KNOB", "", 1);
+  EXPECT_EQ(env_int_in("DEEPSEQ_TEST_KNOB", 7, 1, 64), 7);
+  ::setenv("DEEPSEQ_TEST_KNOB", "1", 1);
+  EXPECT_EQ(env_int_in("DEEPSEQ_TEST_KNOB", 7, 1, 64), 1);
+  ::setenv("DEEPSEQ_TEST_KNOB", "64 ", 1);
+  EXPECT_EQ(env_int_in("DEEPSEQ_TEST_KNOB", 7, 1, 64), 64);
+  ::unsetenv("DEEPSEQ_TEST_KNOB");
+}
+
+TEST(Env, RangedIntRejectsUnparsableAndOutOfRangeNamingTheVariable) {
+  // Where env_int falls back, a ranged knob fails fast: "64KiB" is not a
+  // request for the default, and "4x" not one for 4.
+  const auto message = [](const char* value, std::int64_t hi) {
+    ::setenv("DEEPSEQ_TEST_KNOB", value, 1);
+    try {
+      env_int_in("DEEPSEQ_TEST_KNOB", 7, 1, hi);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  for (const char* bad : {"0", "65", "-1", "4x", "64KiB", "abc", " ",
+                          "99999999999999999999"})
+    EXPECT_EQ(message(bad, 64),
+              std::string("DEEPSEQ_TEST_KNOB='") + bad +
+                  "': expected an integer in 1..64");
+  EXPECT_EQ(message("0", std::numeric_limits<std::int64_t>::max()),
+            "DEEPSEQ_TEST_KNOB='0': expected an integer >= 1");
   ::unsetenv("DEEPSEQ_TEST_KNOB");
 }
 

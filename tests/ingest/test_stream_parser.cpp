@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -257,6 +258,31 @@ TEST(StreamParser, OptionResolutionIsStrict) {
   EXPECT_GT(IngestOptions{}.resolved_chunk_bytes(), 0u);
   EXPECT_EQ(opts(123, 1).resolved_chunk_bytes(), 123u);
   EXPECT_EQ(opts(0, 5).resolved_threads(), 5);
+}
+
+TEST(StreamParser, EnvChunkKnobFailsFastOnUnparsableOrNonPositive) {
+  for (const char* bad : {"64KiB", "0", "-4096", "4096x"}) {
+    ::setenv("DEEPSEQ_INGEST_CHUNK", bad, 1);
+    EXPECT_THROW(IngestOptions{}.resolved_chunk_bytes(), Error) << bad;
+  }
+  EXPECT_EQ(opts(123, 1).resolved_chunk_bytes(), 123u);  // explicit wins
+  ::setenv("DEEPSEQ_INGEST_CHUNK", "65536", 1);
+  EXPECT_EQ(IngestOptions{}.resolved_chunk_bytes(), 65536u);
+  ::unsetenv("DEEPSEQ_INGEST_CHUNK");
+}
+
+TEST(StreamParser, EnvThreadsKnobFailsFastOutsideZeroTo256) {
+  // resolved_threads() only resolves the count; it starts no thread.
+  for (const char* bad : {"4x", "257", "-1", "abc", "100000"}) {
+    ::setenv("DEEPSEQ_INGEST_THREADS", bad, 1);
+    EXPECT_THROW(IngestOptions{}.resolved_threads(), Error) << bad;
+  }
+  EXPECT_EQ(opts(0, 5).resolved_threads(), 5);  // explicit wins
+  for (const int ok : {0, 1, 256}) {
+    ::setenv("DEEPSEQ_INGEST_THREADS", std::to_string(ok).c_str(), 1);
+    EXPECT_EQ(IngestOptions{}.resolved_threads(), ok);
+  }
+  ::unsetenv("DEEPSEQ_INGEST_THREADS");
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // parameter gradients, and every parameter after one Adam step, and
 // compares them with committed digests that any kernel or tape change
 // (SIMD or scalar) must keep. Plus finite-difference checks through the
-// tape and the BatchScope flush boundary.
+// tape and its per-op trace counts.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "core/model.hpp"
 #include "netlist/structural_hash.hpp"
 #include "nn/adam.hpp"
+#include "nn/executor.hpp"
 #include "nn/gradcheck.hpp"
 #include "support/nn_parity.hpp"
 
@@ -153,43 +154,21 @@ TEST(Tape, GradCheckOnModelLoss) {
   EXPECT_LT(res.max_rel_error, 0.05) << "worst: " << res.worst_param;
 }
 
-TEST(BatchScope, ValuesMaterializeOnScopeExit) {
-  Graph g(false);
-  Var a = nn::make_constant(Tensor::full(4, 4, 2.0f));
-  Var y;
+TEST(Tape, TraceCountsEachRecordedOpAsOneFlush) {
+  // The tape runs every op as it is recorded, so under an ExecTraceScope
+  // each op is one flush and one step, and backward is one entry.
+  nn::ExecStats stats;
   {
-    nn::BatchScope batch(g);
-    y = g.add(a, a);
-    // Recorded, not yet executed: shape is known, value is not.
-    EXPECT_EQ(y->value.rows(), 4);
+    nn::ExecTraceScope trace(stats);
+    Graph g(true);
+    Var a = nn::make_param(Tensor::full(2, 2, 1.0f));
+    Var y = g.sigmoid(g.add(a, a));
+    g.backward(g.l1_loss(y, Tensor(2, 2)));
   }
-  EXPECT_FLOAT_EQ(y->value.at(3, 3), 4.0f);
-}
-
-TEST(BatchScope, NestedScopesFlushOnceAtOutermostExit) {
-  Graph g(false);
-  Var a = nn::make_constant(Tensor::full(2, 2, 1.0f));
-  Var z;
-  {
-    nn::BatchScope outer(g);
-    Var y = g.add(a, a);
-    {
-      nn::BatchScope inner(g);
-      z = g.mul(y, y);
-    }
-    // Inner exit must not flush: y (z's input) is still pending.
-  }
-  EXPECT_FLOAT_EQ(z->value.at(1, 1), 4.0f);
-}
-
-TEST(BatchScope, BackwardInsideBatchFlushesFirst) {
-  Graph g(true);
-  Var a = nn::make_param(Tensor::full(1, 1, 3.0f));
-  nn::BatchScope batch(g);
-  Var y = g.mul(a, a);
-  g.backward(y);  // must flush pending ops before seeding
-  EXPECT_FLOAT_EQ(y->value.at(0, 0), 9.0f);
-  EXPECT_FLOAT_EQ(a->grad.at(0, 0), 6.0f);
+  EXPECT_EQ(stats.flushes, 3);
+  EXPECT_EQ(stats.steps, 3);
+  EXPECT_EQ(stats.flush_ms.size(), 3u);
+  EXPECT_EQ(stats.backward_ms.size(), 1u);
 }
 
 }  // namespace

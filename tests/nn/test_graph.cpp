@@ -231,6 +231,45 @@ TEST(Graph, ClearBreaksLinksButKeepsValues) {
   EXPECT_EQ(y->producer, nullptr);
 }
 
+TEST(Graph, SecondBackwardOnOneGraphThrows) {
+  // A second walk would re-accumulate through intermediates that still hold
+  // the first pass's gradients: y = (2a)^2 at a = 3 gives dy/da = 24, and a
+  // second pass on the same tape would leave a.grad at 72 where two Graphs
+  // give 48.
+  Graph g;
+  Var a = param({{3}});
+  Var b = g.scale(a, 2.0f);
+  Var y = g.mul(b, b);
+  g.backward(y);
+  EXPECT_FLOAT_EQ(a->grad.at(0, 0), 24.0f);
+  EXPECT_THROW(g.backward(y), Error);
+  EXPECT_FLOAT_EQ(a->grad.at(0, 0), 24.0f);
+
+  Graph fresh;
+  Var y2 = fresh.mul(fresh.scale(a, 2.0f), fresh.scale(a, 2.0f));
+  fresh.backward(y2);  // one backward per Graph: gradients accumulate in a
+  EXPECT_FLOAT_EQ(a->grad.at(0, 0), 48.0f);
+}
+
+TEST(Graph, BackwardSkipsTapedOpsTheRootDoesNotNeed) {
+  // Taped ops recorded before the root that it does not consume, and taped
+  // ops recorded after it that consume it, get no gradient and pass none on.
+  Graph g;
+  Var a = param({{2}});
+  Var before = param({{5}});
+  Var after = param({{7}});
+  Var unused = g.sigmoid(g.mul(before, a));
+  Var root = g.mul(a, a);
+  Var consumer = g.add(g.mul(root, after), before);
+  EXPECT_EQ(g.tape_size(), 5u);
+  g.backward(root);
+  EXPECT_FLOAT_EQ(a->grad.at(0, 0), 4.0f);
+  EXPECT_FALSE(before->has_grad());
+  EXPECT_FALSE(after->has_grad());
+  EXPECT_FALSE(unused->has_grad());
+  EXPECT_FALSE(consumer->has_grad());
+}
+
 TEST(Graph, DeepChainDoesNotOverflowStackOnDestruction) {
   // 200k chained ops would blow the stack under naive recursive shared_ptr
   // destruction; the tape's clear() breaks links iteratively.
@@ -299,12 +338,11 @@ TEST(GradCheck, GatherMulColPipeline) {
 
 
 TEST(GradCheck, DiamondAndAliasedOperands) {
-  // An empty flush, a diamond (fan-out from a, fan-in at d) and aliased
-  // operands (mul(d, d) scatters twice into d's gradient).
+  // A diamond (fan-out from a, fan-in at d) and aliased operands
+  // (mul(d, d) scatters twice into d's gradient).
   Rng rng(41);
   Var p = make_param(Tensor::xavier(3, 3, rng));
   auto forward = [&](Graph& g) {
-    g.flush();  // nothing pending: a no-op
     Var a = g.sigmoid(p);
     Var b = g.scale(a, 2.0f);
     Var c = g.tanh_(a);
