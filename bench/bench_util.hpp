@@ -14,7 +14,8 @@ namespace deepseq::bench {
 /// the whole suite regenerates on a single core in tens of minutes;
 /// DEEPSEQ_FULL=1 switches every knob to the paper's values (§IV-A3 and
 /// §V) — expect days of CPU time at that setting. Individual knobs can be
-/// overridden with DEEPSEQ_* environment variables (see EXPERIMENTS.md).
+/// overridden with DEEPSEQ_* environment variables (listed in
+/// bench_util.cpp; README "Benches at paper scale").
 struct BenchConfig {
   bool full = false;
 

@@ -6,7 +6,8 @@
 //
 // Knobs: DEEPSEQ_INGEST_THREADS (0..256; 1 = inline, 0 = hardware), and
 // DEEPSEQ_INGEST_CHUNK (lexer window bytes >= 1, default 1 MiB); a value
-// that is unparsable or out of range fails naming the knob. The manifest
+// that is unparsable or out of range exits 1 naming the knob, and so does
+// an unset DEEPSEQ_CORPUS_DIR or one that is not a directory. The manifest
 // JSON (per-design name/file/bytes/nodes/FFs/levels/structural hash/parse
 // time plus scan totals and the no-slurp evidence) is written to
 // corpus_manifest.json and summarized on stdout. Exits 1 if the
@@ -22,7 +23,7 @@
 
 using namespace deepseq;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   ingest::CorpusOptions options;
   ingest::Corpus corpus = argc > 1 ? ingest::Corpus::scan(argv[1], options)
                                    : ingest::Corpus::scan_from_env();
@@ -64,4 +65,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (const std::exception& e) {
+  // A bad knob or corpus directory: the error names the variable.
+  std::fprintf(stderr, "ingest_corpus: %s\n", e.what());
+  return 1;
 }

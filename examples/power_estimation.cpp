@@ -76,8 +76,8 @@ int main() {
   std::printf("\nSAIF files written to %s/\n", popt.saif_dir.c_str());
   std::printf(
       "(absolute errors at this miniature demo scale are noisy — the\n"
-      " calibrated comparison is bench/table5_power_large; see\n"
-      " EXPERIMENTS.md for paper-vs-measured numbers)\n");
+      " calibrated comparison is bench/table5_power_large; README\n"
+      " \"Benches at paper scale\" covers its knobs)\n");
   std::printf("total %.0fs\n", total.seconds());
   return 0;
 }

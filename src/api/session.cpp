@@ -192,7 +192,8 @@ std::uint64_t Session::reload_weights(
 }
 
 runtime::EmbeddingRequest Session::to_engine_request(
-    const TaskRequest& request, const EmbeddingBackend& be) const {
+    const TaskRequest& request, const CircuitIdentity& identity,
+    const EmbeddingBackend& be) const {
   if (!request.circuit)
     throw Error("Session: request without a circuit");
   if (task_needs_regress(request.task) && !be.info().supports_regress)
@@ -204,6 +205,7 @@ runtime::EmbeddingRequest Session::to_engine_request(
                 "' does not support the reliability task");
   runtime::EmbeddingRequest er;
   er.circuit = request.circuit;
+  er.identity = identity;
   er.workload = request.workload;
   er.backend = &be;
   er.init_seed = request.init_seed;
@@ -320,12 +322,21 @@ TaskResult Session::finish(const TaskRequest& request,
 }
 
 TaskResult Session::run_sync(const TaskRequest& request) {
+  // A missing circuit falls through to the overload, which rejects it and
+  // counts the failure.
+  return run_sync(request, request.circuit != nullptr
+                               ? circuit_identity(*request.circuit)
+                               : CircuitIdentity{});
+}
+
+TaskResult Session::run_sync(const TaskRequest& request,
+                             const CircuitIdentity& identity) {
   const TaskMetrics& metrics = task_metrics(request.task);
   metrics.submitted->inc();
   try {
     const std::shared_ptr<const EmbeddingBackend> be =
         backend_handle(request.backend);
-    runtime::EmbeddingRequest er = to_engine_request(request, *be);
+    runtime::EmbeddingRequest er = to_engine_request(request, identity, *be);
     er.trace.kind = task_name(request.task);
     er.trace.backend_fingerprint = be->info().fingerprint;
     if (obs::tracing_enabled()) er.trace.task_id = obs::next_task_id();

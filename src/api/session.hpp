@@ -140,10 +140,20 @@ class Session {
 
   const SessionConfig& config() const { return config_; }
 
-  /// Compute one task on the calling thread: structure resolve, embed and
-  /// task head. Unknown backend names, unsupported task/backend
-  /// combinations and compute errors throw.
+  /// Compute one task on the calling thread: the circuit's identity (one
+  /// structural hash), structure resolve, embed and task head. Unknown
+  /// backend names, unsupported task/backend combinations and compute
+  /// errors throw.
   TaskResult run_sync(const TaskRequest& request);
+
+  /// Trusted entry point: run_sync with the circuit's identity already
+  /// computed, so the session hashes nothing. The caller vouches that
+  /// `identity` is circuit_identity(*request.circuit); a wrong one serves
+  /// another circuit's cached results (the engine checks only its counts).
+  /// serve::ShardRouter, which computes the identity once to route the
+  /// request, is its only caller; nothing on the wire carries one.
+  TaskResult run_sync(const TaskRequest& request,
+                      const CircuitIdentity& identity);
 
   /// Zero-downtime weight push: build a replacement backend instance from
   /// the artifact through the registry (same name, the session's options
@@ -182,6 +192,7 @@ class Session {
 
  private:
   runtime::EmbeddingRequest to_engine_request(const TaskRequest& request,
+                                              const CircuitIdentity& identity,
                                               const EmbeddingBackend& be) const;
   TaskResult finish(const TaskRequest& request, const EmbeddingBackend& be,
                     runtime::EmbeddingResult&& er);

@@ -97,7 +97,7 @@ Var Aggregator::aggregate(Graph& g, const Var& hv_prev_targets,
       // Eq. 6: a gate between the node's previous state and its fresh logic
       // message. The paper writes this as a softmax over a single logit,
       // which is identically one; we realize the additive-attention form as
-      // a sigmoid gate (see DESIGN.md).
+      // a sigmoid gate, sigmoid(h_v W1 + m_LG W2), scaling m_LG.
       const Var gate_scores =
           g.add(g.matmul(hv_prev_targets, gate_w1_), g.matmul(m_lg, gate_w2_));
       const Var m_tr = g.mul_col(m_lg, g.sigmoid(gate_scores));

@@ -9,9 +9,10 @@ namespace deepseq {
 
 /// Parameters of the random sequential-netlist generator used to synthesize
 /// benchmark-family circuits (our substitute for the ISCAS'89 / ITC'99 /
-/// OpenCores sources; see DESIGN.md §2). Gates are created in topological
-/// order with locality-biased fanin selection (yields realistic logic
-/// depth); FF D-inputs close feedback loops afterwards.
+/// OpenCores sources, which this reproduction does not ship). Gates are
+/// created in topological order with locality-biased fanin selection
+/// (yields realistic logic depth); FF D-inputs close feedback loops
+/// afterwards.
 struct GeneratorSpec {
   std::string name = "rand";
   int num_pis = 8;

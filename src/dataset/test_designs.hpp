@@ -19,7 +19,8 @@ struct TestDesign {
 };
 
 /// Deterministically synthesize a named test design at `scale` times the
-/// paper's node count (DESIGN.md §2 documents this substitution). Valid
+/// paper's node count: a synthetic stand-in for the paper's OpenCores
+/// netlist of that name, which this reproduction does not ship. Valid
 /// names: noc_router, pll, ptc, rtcclock, ac97_ctrl, mem_ctrl.
 TestDesign build_test_design(const std::string& name, double scale,
                              std::uint64_t seed);

@@ -5,9 +5,10 @@
 namespace deepseq {
 
 /// Synthetic standard-cell capacitance library with 90 nm-like magnitudes —
-/// the stand-in for the paper's TSMC 90 nm library (DESIGN.md §2). Every
-/// power method flows through the same library, so relative errors (the
-/// quantity Tables V/VI report) are insensitive to the absolute values.
+/// the stand-in for the paper's TSMC 90 nm library, which this
+/// reproduction does not ship. Every power method flows through the same
+/// library, so relative errors (the quantity Tables V/VI report) are
+/// insensitive to the absolute values.
 struct CellLibrary {
   double vdd = 1.0;          // volts
   double frequency = 5e8;    // Hz

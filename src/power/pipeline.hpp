@@ -13,7 +13,7 @@ namespace deepseq {
 
 /// Options of the Fig. 3 power-estimation pipeline. Paper-scale values are
 /// gt_sim_cycles=10000 and finetune_workloads=1000; benches scale these via
-/// env knobs (see EXPERIMENTS.md).
+/// env knobs (README "Benches at paper scale").
 /// Distribution the per-design fine-tuning workloads are drawn from
 /// (paper §V-A1: "generated with the same pipeline as Section III-B" —
 /// random workloads; the options below exist to study the choice at
@@ -45,8 +45,8 @@ struct PowerPipelineOptions {
   /// L1 of Eq. 3 discriminates nodes well; at reduced budgets it collapses
   /// predictions to the mostly-zero target median and systematically
   /// underestimates power. Balancing active vs static nodes keeps the
-  /// reduced-scale reproduction faithful to the paper's *shape*; see
-  /// DESIGN.md. Disabled automatically under DEEPSEQ_FULL by the benches.
+  /// reduced-scale reproduction faithful to the paper's *shape*. Disabled
+  /// automatically under DEEPSEQ_FULL by the benches.
   bool balanced_finetune = true;
   /// When non-empty, every method's SAIF file is written here (exercising
   /// the full Fig. 3 artifact flow); power is always computed via SAIF.

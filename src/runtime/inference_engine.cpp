@@ -57,10 +57,19 @@ EmbeddingResult InferenceEngine::run_sync(const EmbeddingRequest& request) {
     throw Error("InferenceEngine: request without a circuit");
   if (request.backend == nullptr)
     throw Error("InferenceEngine: request without a backend");
+  const Circuit& circuit = *request.circuit;
+  const StructuralHash& structural = request.identity.structure;
+  const std::uint64_t exact = request.identity.exact;
+  // O(1) guard against a default or stale identity; the digests themselves
+  // are the caller's word.
+  if (structural.num_nodes != circuit.num_nodes() ||
+      structural.num_pis != circuit.pis().size() ||
+      structural.num_pos != circuit.pos().size() ||
+      structural.num_ffs != circuit.ffs().size())
+    throw Error("InferenceEngine: request identity " + structural.to_string() +
+                " does not describe its circuit");
   const api::EmbeddingBackend& backend = *request.backend;
   const std::uint64_t fingerprint = backend.info().fingerprint;
-  const StructuralHash structural = structural_hash(*request.circuit);
-  const std::uint64_t exact = exact_hash(*request.circuit);
 
   const auto start = std::chrono::steady_clock::now();
   EmbeddingResult result;
@@ -86,7 +95,7 @@ EmbeddingResult InferenceEngine::run_sync(const EmbeddingRequest& request) {
   // Timed, traced structure resolve ("resolve" span; hit/miss as an arg).
   const auto traced_resolve = [&] {
     const std::uint64_t t0 = tracing ? obs::trace_now_ns() : 0;
-    auto structure = resolve_structure(backend, *request.circuit, skey,
+    auto structure = resolve_structure(backend, circuit, skey,
                                        &result.structure_cache_hit);
     if (tracing) {
       obs::TraceEvent e = make_span("resolve", t0, obs::trace_now_ns(),

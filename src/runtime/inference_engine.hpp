@@ -9,15 +9,20 @@
 
 namespace deepseq::runtime {
 
-/// One embedding query: a strict sequential AIG, the workload defining its
-/// PI behaviour, the backend to encode with (non-owning — the caller keeps
-/// the instance alive until run_sync returns; api::Session holds an owning
-/// handle for the whole call, which is what lets reload_weights swap
-/// backends without touching in-flight work), and the init seed that makes
-/// the forward pass reproducible (paper convention: non-PI states are
-/// seeded randomly per sample).
+/// One embedding query: a strict sequential AIG and its identity, the
+/// workload defining its PI behaviour, the backend to encode with
+/// (non-owning — the caller keeps the instance alive until run_sync
+/// returns; api::Session holds an owning handle for the whole call, which
+/// is what lets reload_weights swap backends without touching in-flight
+/// work), and the init seed that makes the forward pass reproducible (paper
+/// convention: non-PI states are seeded randomly per sample).
 struct EmbeddingRequest {
   std::shared_ptr<const Circuit> circuit;
+  /// circuit_identity(*circuit), computed by the caller: the engine keys its
+  /// caches on it and never hashes. A wrong identity serves another
+  /// circuit's cached results; run_sync only checks its node and interface
+  /// counts against the circuit.
+  CircuitIdentity identity;
   Workload workload;
   const api::EmbeddingBackend* backend = nullptr;
   std::uint64_t init_seed = 1;
@@ -48,7 +53,7 @@ struct EmbeddingResult {
   const api::EmbeddingBackend* backend = nullptr;
   bool structure_cache_hit = false;
   bool embedding_cache_hit = false;
-  /// Cache lookups + structure resolve + forward; excludes the hashing.
+  /// Cache lookups + structure resolve + forward.
   double compute_ms = 0.0;
   /// The request's observability identity, passed through so task heads
   /// (api::Session::finish) record their spans under the same task id.
@@ -66,7 +71,9 @@ struct EngineConfig {
 /// request names the backend that serves it, and cache entries are keyed by
 /// the backend's deterministic fingerprint — the public serving surface is
 /// api::Session, whose callers (the serve tier's shard workers) supply the
-/// request-level parallelism.
+/// request-level parallelism. The engine hashes nothing: every request
+/// carries its circuit's identity (api::Session computes it for direct
+/// callers; serve::ShardRouter hands in the one it routed by).
 ///
 /// run_sync() and regress_cached() compute on the calling thread. All
 /// public methods are thread-safe.
@@ -78,8 +85,8 @@ class InferenceEngine {
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
   /// Compute one request on the calling thread through the cache. Throws on
-  /// a missing circuit or backend and on compute errors (e.g. a workload/PI
-  /// size mismatch).
+  /// a missing circuit or backend, on an identity whose counts do not match
+  /// the circuit, and on compute errors (e.g. a workload/PI size mismatch).
   EmbeddingResult run_sync(const EmbeddingRequest& request);
 
   /// Regression-head outputs for an embedding, cached beside the embedding

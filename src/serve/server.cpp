@@ -382,7 +382,13 @@ std::string Server::stats_json() const {
            ",\"completed\":" + std::to_string(m.completed->value()) +
            ",\"failed\":" + std::to_string(m.failed->value()) + "}";
   }
-  out += "}";
+  // Structural hashes the routers ran (misses) and skipped (hits).
+  obs::Registry& reg = obs::Registry::global();
+  out += "},\"structure_memo\":{\"hits\":" +
+         std::to_string(reg.counter("serve.structure_memo.hits").value()) +
+         ",\"misses\":" +
+         std::to_string(reg.counter("serve.structure_memo.misses").value()) +
+         "}";
   {
     std::lock_guard<std::mutex> lock(store_mu_);
     if (store_ != nullptr)

@@ -16,7 +16,8 @@
 //                     artifact::Store directory (DEEPSEQ_ARTIFACT_DIR or
 //                     ServeConfig::artifact_dir)
 //   kStatsRequest  -> one JSON document: per-kind serving counters, per-
-//                     shard admission/cache stats — the health endpoint.
+//                     shard admission/cache stats and the structure memo's
+//                     hits/misses — the health endpoint.
 
 #include <atomic>
 #include <cstdint>

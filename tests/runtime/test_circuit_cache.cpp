@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -125,6 +127,82 @@ TEST(StructuralHash, SensitiveToPoOrder) {
   b.add_po(g);
 
   EXPECT_NE(structural_hash(a), structural_hash(b));
+}
+
+// ---- same_structure --------------------------------------------------------
+
+/// One change each: the AND becomes another gate type, the two PIs trade
+/// places, the last gate reads another fanin, or a second PO is added.
+struct Variant {
+  GateType gate = GateType::kAnd;
+  bool swap_pis = false;
+  bool rewire = false;
+  bool extra_po = false;
+};
+
+/// Two PIs, a NOT, a two-input gate and an AND feeding an FF that loops
+/// back into it.
+Circuit loop_circuit(const Variant& v = {}) {
+  Circuit c("loop");
+  NodeId a = c.add_pi("a"), b = c.add_pi("b");
+  if (v.swap_pis) std::swap(a, b);
+  const NodeId q = c.add_ff(kNullNode, "q");
+  const NodeId nb = c.add_not(b, "nb");
+  const NodeId g = c.add_gate(v.gate, {a, nb}, "g");
+  const NodeId h = c.add_and(g, v.rewire ? nb : q, "h");
+  c.set_fanin(q, 0, h);
+  c.add_po(h, "out");
+  if (v.extra_po) c.add_po(g, "out2");
+  c.validate();
+  return c;
+}
+
+/// A node-for-node copy of `c` with the circuit, every node and every PO
+/// renamed.
+Circuit renamed_copy(const Circuit& c) {
+  Circuit out = c;
+  out.set_name(c.name() + "_renamed");
+  for (NodeId v = 0; v < out.num_nodes(); ++v)
+    out.set_node_name(v, "n" + std::to_string(v) + "_renamed");
+  for (std::size_t k = 0; k < out.pos().size(); ++k)
+    out.set_po_name(k, "po" + std::to_string(k) + "_renamed");
+  return out;
+}
+
+TEST(SameStructure, TrueForARenamedCopy) {
+  for (const Circuit& a : {loop_circuit(), random_aig(3)}) {
+    const Circuit b = renamed_copy(a);
+    ASSERT_NE(a.node_name(0), b.node_name(0));
+    EXPECT_TRUE(same_structure(a, b));
+    EXPECT_TRUE(same_structure(a, a));
+    // What the memo relies on: a confirmed match hashes equal both ways.
+    EXPECT_EQ(structural_hash(a), structural_hash(b));
+    EXPECT_EQ(exact_hash(a), exact_hash(b));
+  }
+}
+
+TEST(SameStructure, FalseForOneChangedFaninGateTypePiOrderOrPo) {
+  const Circuit a = loop_circuit();
+  const Circuit changed[] = {
+      loop_circuit({.rewire = true}),
+      loop_circuit({.gate = GateType::kOr}),
+      loop_circuit({.swap_pis = true}),
+      loop_circuit({.extra_po = true}),
+  };
+  for (const Circuit& b : changed) {
+    ASSERT_EQ(a.num_nodes(), b.num_nodes());
+    EXPECT_FALSE(same_structure(a, b));
+    EXPECT_FALSE(same_structure(b, a));
+    EXPECT_NE(exact_hash(a), exact_hash(b));
+  }
+}
+
+TEST(SameStructure, FalseForAnIsomorphicRenumbering) {
+  const Circuit a = random_aig(4);
+  const Circuit b = permute_node_ids(a, 11);
+  ASSERT_EQ(structural_hash(a), structural_hash(b));
+  ASSERT_NE(exact_hash(a), exact_hash(b));
+  EXPECT_FALSE(same_structure(a, b));
 }
 
 // ---- generic sharded LRU ---------------------------------------------------

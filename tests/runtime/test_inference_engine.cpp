@@ -33,12 +33,13 @@ struct Backends {
   api::PaceBackend pace{small_pace()};
 };
 
-std::shared_ptr<const Circuit> shared_aig(std::uint64_t seed) {
+std::shared_ptr<const Circuit> shared_aig(std::uint64_t seed,
+                                          int num_gates = 60) {
   Rng rng(seed);
   GeneratorSpec spec;
   spec.num_pis = 5;
   spec.num_ffs = 4;
-  spec.num_gates = 60;
+  spec.num_gates = num_gates;
   for (int t = 0; t < kNumGateTypes; ++t) spec.gate_weights[t] = 0.0;
   spec.gate_weights[static_cast<int>(GateType::kAnd)] = 4.0;
   spec.gate_weights[static_cast<int>(GateType::kNot)] = 2.0;
@@ -68,6 +69,7 @@ TEST(InferenceEngine, ConcurrentRunSyncMatchesDirectModelCalls) {
   for (int i = 0; i < 24; ++i) {
     EmbeddingRequest r;
     r.circuit = circuits[i % circuits.size()];
+    r.identity = circuit_identity(*r.circuit);
     r.workload = random_workload(*r.circuit, rng);
     r.backend = (i % 2 == 0)
                     ? static_cast<const api::EmbeddingBackend*>(&backends.deepseq)
@@ -112,6 +114,7 @@ TEST(InferenceEngine, RepeatRequestHitsEmbeddingCache) {
   Rng rng(8);
   EmbeddingRequest r;
   r.circuit = circuit;
+  r.identity = circuit_identity(*circuit);
   r.workload = random_workload(*circuit, rng);
   r.backend = &backends.deepseq;
   r.init_seed = 3;
@@ -136,6 +139,7 @@ TEST(InferenceEngine, BackendsDoNotShareCacheEntries) {
   Rng rng(15);
   EmbeddingRequest r;
   r.circuit = circuit;
+  r.identity = circuit_identity(*circuit);
   r.workload = random_workload(*circuit, rng);
   r.backend = &backends.deepseq;
 
@@ -156,6 +160,7 @@ TEST(InferenceEngine, StructureSharedAcrossWorkloads) {
   for (int i = 0; i < 4; ++i) {
     EmbeddingRequest r;
     r.circuit = circuit;
+    r.identity = circuit_identity(*circuit);
     r.workload = random_workload(*circuit, rng);  // distinct workloads
     r.backend = &backends.deepseq;
     r.init_seed = static_cast<std::uint64_t>(i);
@@ -174,6 +179,7 @@ TEST(InferenceEngine, StateOnlyRequestSkipsForwardPass) {
   Rng rng(17);
   EmbeddingRequest r;
   r.circuit = circuit;
+  r.identity = circuit_identity(*circuit);
   r.workload = random_workload(*circuit, rng);
   r.backend = &backends.deepseq;
   r.want_embedding = false;
@@ -223,11 +229,13 @@ TEST(InferenceEngine, IsomorphicRenumberedCircuitGetsItsOwnEmbedding) {
   Workload w = random_workload(*a, rng);
   EmbeddingRequest ra;
   ra.circuit = a;
+  ra.identity = circuit_identity(*a);
   ra.workload = w;
   ra.backend = &backends.deepseq;
   ra.init_seed = 5;
   EmbeddingRequest rb = ra;
   rb.circuit = b;
+  rb.identity = circuit_identity(*b);
 
   (void)engine.run_sync(ra);  // warms the cache with a's node-indexed rows
   const EmbeddingResult got_b = engine.run_sync(rb);
@@ -245,15 +253,35 @@ TEST(InferenceEngine, WorkloadMismatchThrows) {
   InferenceEngine engine(EngineConfig{});
   EmbeddingRequest r;
   r.circuit = shared_aig(11);
+  r.identity = circuit_identity(*r.circuit);
   r.workload.pi_prob = {0.5};  // wrong PI count
   r.backend = &backends.deepseq;
   EXPECT_THROW((void)engine.run_sync(r), Error);
+}
+
+TEST(InferenceEngine, IdentityThatDoesNotDescribeTheCircuitThrows) {
+  Backends backends;
+  InferenceEngine engine(EngineConfig{});
+  EmbeddingRequest r;
+  r.circuit = shared_aig(11);
+  Rng rng(12);
+  r.workload = random_workload(*r.circuit, rng);
+  r.backend = &backends.deepseq;
+  // Left default: the engine hashes nothing, so it must refuse rather than
+  // key the caches on an all-zero identity.
+  EXPECT_THROW((void)engine.run_sync(r), Error);
+  // Another circuit's identity fails the count check too.
+  r.identity = circuit_identity(*shared_aig(11, /*num_gates=*/61));
+  EXPECT_THROW((void)engine.run_sync(r), Error);
+  r.identity = circuit_identity(*r.circuit);
+  EXPECT_NO_THROW((void)engine.run_sync(r));
 }
 
 TEST(InferenceEngine, MissingBackendThrows) {
   InferenceEngine engine(EngineConfig{});
   EmbeddingRequest r;
   r.circuit = shared_aig(11);
+  r.identity = circuit_identity(*r.circuit);
   Rng rng(12);
   r.workload = random_workload(*r.circuit, rng);  // backend left null
   EXPECT_THROW((void)engine.run_sync(r), Error);
@@ -274,6 +302,7 @@ TEST(InferenceEngine, ComputeTimeIsPopulated) {
   Rng rng(13);
   EmbeddingRequest r;
   r.circuit = circuit;
+  r.identity = circuit_identity(*circuit);
   r.workload = random_workload(*circuit, rng);
   r.backend = &backends.deepseq;
   EXPECT_GT(engine.run_sync(r).compute_ms, 0.0);

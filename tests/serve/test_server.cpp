@@ -1,12 +1,14 @@
 // End-to-end serving-tier tests over real loopback TCP: every TaskKind's
 // socket round trip is bit-identical to a direct Session::run_sync with the
 // same preset (the tier's acceptance contract), overload sheds typed
-// instead of queueing unboundedly, the stats endpoint serves valid JSON,
-// and reload_weights flips every shard coordinated through the wire,
-// resolved "name@hash" against an artifact::Store directory.
+// instead of queueing unboundedly, the stats endpoint serves valid JSON
+// and counts one structural hash per new structure, and reload_weights
+// flips every shard coordinated through the wire, resolved "name@hash"
+// against an artifact::Store directory.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <future>
@@ -224,6 +226,42 @@ TEST(ServeServer, StatsEndpointServesValidJson) {
     EXPECT_NE(doc.find("\"per_shard\""), std::string::npos);
     EXPECT_NE(doc.find("\"requests\""), std::string::npos);
     EXPECT_NE(doc.find("\"shards\":2"), std::string::npos);
+  }
+}
+
+/// The structure_memo hits and misses a stats document reports.
+struct MemoCounts {
+  unsigned long long hits = 0;
+  unsigned long long misses = 0;
+};
+
+MemoCounts memo_counts(const std::string& doc) {
+  MemoCounts c;
+  const std::size_t at = doc.find("\"structure_memo\"");
+  if (at == std::string::npos ||
+      std::sscanf(doc.c_str() + at,
+                  "\"structure_memo\":{\"hits\":%llu,\"misses\":%llu}",
+                  &c.hits, &c.misses) != 2)
+    ADD_FAILURE() << "no structure_memo counters in " << doc;
+  return c;
+}
+
+TEST(ServeServer, StatsCountOneStructuralHashPerNewStructure) {
+  Server server(small_server());
+  Client client(server.port());
+  const auto circuit = shared_aig(5);
+  constexpr unsigned long long kRepeats = 4;
+
+  // The counters are process-wide, so compare against a baseline.
+  const MemoCounts before = memo_counts(server.stats_json());
+  for (unsigned long long i = 0; i < kRepeats; ++i)
+    (void)client.run(make_request(circuit, api::TaskKind::kLogicProb));
+  // Every request decodes its own copy of the netlist: the first is hashed,
+  // the repeats reuse that hash.
+  for (const std::string& doc : {client.stats_json(), server.stats_json()}) {
+    const MemoCounts after = memo_counts(doc);
+    EXPECT_EQ(after.misses - before.misses, 1u) << doc;
+    EXPECT_EQ(after.hits - before.hits, kRepeats - 1) << doc;
   }
 }
 
