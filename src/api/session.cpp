@@ -232,6 +232,9 @@ TaskResult Session::finish(const TaskRequest& request,
     return engine_.regress_cached(er.key, be, *er.embedding,
                                   &result.regression_cache_hit);
   };
+  // Whether the power or SCOAP layer served this task's head. It is traced
+  // on the "head" span only; the reply carries no flag for it.
+  bool head_cache_hit = false;
 
   switch (request.task) {
     case TaskKind::kEmbedding: {
@@ -261,9 +264,16 @@ TaskResult Session::finish(const TaskRequest& request,
         out.logic1[v] = reg->lg.at(row, 0);
         out.toggle_rate[v] = reg->tr.at(row, 0) + reg->tr.at(row, 1);
       }
-      out.report = power_from_activity(*request.circuit, out.logic1,
-                                       out.toggle_rate,
-                                       config_.power_duration);
+      // The report is a function of the gate types, this activity (itself
+      // a function of er.key) and the session's duration: unique_node_names
+      // makes the SAIF name match independent of the netlist's names.
+      head_cache_hit = true;
+      out.report = *engine_.cache().get_or_build_power(er.key, [&] {
+        head_cache_hit = false;
+        return std::make_shared<const PowerReport>(
+            power_from_activity(*request.circuit, out.logic1,
+                                out.toggle_rate, config_.power_duration));
+      });
       result.output = std::move(out);
       break;
     }
@@ -275,8 +285,14 @@ TaskResult Session::finish(const TaskRequest& request,
       break;
     }
     case TaskKind::kTestability: {
-      result.output =
-          TestabilityOutput{compute_scoap(*request.circuit, config_.scoap)};
+      head_cache_hit = true;
+      const auto scoap = engine_.cache().get_or_build_scoap(
+          runtime::ScoapKey{er.structure, er.key.exact}, [&] {
+            head_cache_hit = false;
+            return std::make_shared<const ScoapMeasures>(
+                compute_scoap(*request.circuit, config_.scoap));
+          });
+      result.output = TestabilityOutput{*scoap};
       break;
     }
   }
@@ -302,6 +318,8 @@ TaskResult Session::finish(const TaskRequest& request,
     head.structure = er.structure.digest;
     head.arg_name[0] = "regression_cache_hit";
     head.arg[0] = result.regression_cache_hit ? 1 : 0;
+    head.arg_name[1] = "head_cache_hit";
+    head.arg[1] = head_cache_hit ? 1 : 0;
     obs::TraceSink::global().record(head);
 
     obs::TraceEvent task;

@@ -126,7 +126,12 @@ struct SessionConfig {
 /// tier's shard workers are those callers). All task kinds against the same
 /// circuit share one cached structure resolve, and embedding-consuming
 /// tasks (logic/transition probability, power) share one cached forward
-/// pass. All public methods are thread-safe.
+/// pass. The task heads are cached too: the regression heads and the power
+/// report under the request's EmbeddingKey, the SCOAP measures under the
+/// circuit's identity. A warm power request still looks its regression
+/// heads up first (they give the reply's per-node activity), so
+/// regression_cache_hit keeps its meaning; no reply flag reports the power
+/// or SCOAP layer. All public methods are thread-safe.
 class Session {
  public:
   explicit Session(const SessionConfig& config = {},
@@ -150,8 +155,9 @@ class Session {
   /// computed, so the session hashes nothing. The caller vouches that
   /// `identity` is circuit_identity(*request.circuit); a wrong one serves
   /// another circuit's cached results (the engine checks only its counts).
-  /// serve::ShardRouter, which computes the identity once to route the
-  /// request, is its only caller; nothing on the wire carries one.
+  /// serve::ShardRouter, which routes the request by the identity that
+  /// serve::Server's circuit memo computed once per circuit section, is its
+  /// only caller; nothing on the wire carries one.
   TaskResult run_sync(const TaskRequest& request,
                       const CircuitIdentity& identity);
 

@@ -7,6 +7,7 @@
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -177,13 +178,22 @@ Circuit parse_bench_file(const std::string& path) {
 
 std::vector<std::string> unique_node_names(const Circuit& c) {
   std::vector<std::string> names(c.num_nodes());
-  std::unordered_map<std::string, int> used;
   for (NodeId v = 0; v < c.num_nodes(); ++v) {
-    std::string n = c.node_name(v);
-    if (n.empty()) n = "n" + std::to_string(v);
-    auto [it, inserted] = used.emplace(n, 0);
-    if (!inserted) n += "_" + std::to_string(++it->second);
-    names[v] = std::move(n);
+    names[v] = c.node_name(v);
+    if (names[v].empty()) names[v] = "n" + std::to_string(v);
+  }
+  // Every base name is taken up front, so a generated "<base>_<k>" can
+  // never claim a name some later node carries itself.
+  std::unordered_set<std::string> taken(names.begin(), names.end());
+  std::unordered_map<std::string, int> suffix;  // base -> last k drawn
+  for (std::string& n : names) {
+    auto [it, first] = suffix.emplace(n, 0);
+    if (first) continue;  // the first node with a base keeps it
+    std::string drawn;
+    do {
+      drawn = n + "_" + std::to_string(++it->second);
+    } while (!taken.insert(drawn).second);
+    n = std::move(drawn);
   }
   return names;
 }

@@ -25,10 +25,13 @@ Circuit parse_bench_string(const std::string& text,
                            std::string circuit_name = "bench");
 Circuit parse_bench_file(const std::string& path);
 
-/// Stable unique per-node names: the node's own name when present (with a
-/// numeric suffix on collisions), otherwise "n<id>". Shared by the BENCH
-/// writer, SAIF emission and the power analyzer so activity files and
-/// netlists always agree on net names.
+/// Stable, pairwise distinct per-node names. A node's base name is its own
+/// name when present, otherwise "n<id>". The first node (in id order) with
+/// a base keeps it; each later one gets "<base>_<k>" with k counting up
+/// per base, skipping any name another node's base or an earlier suffix
+/// already uses. Shared by the BENCH and Verilog writers, VCD, SAIF
+/// emission and the power analyzer so activity files and netlists always
+/// agree on net names, one net per node.
 std::vector<std::string> unique_node_names(const Circuit& c);
 
 /// Serialize to BENCH. Nodes without names get stable generated names.

@@ -44,6 +44,11 @@ class Circuit {
   void set_fanin(NodeId node, int slot, NodeId source);
   /// Mark an existing node as a primary output.
   void add_po(NodeId node, std::string name = {});
+  /// Reserve room for `num_nodes` nodes (a decoder that knows the count).
+  void reserve(std::size_t num_nodes) {
+    nodes_.reserve(num_nodes);
+    names_.reserve(num_nodes);
+  }
 
   // ---- accessors ----------------------------------------------------------
 

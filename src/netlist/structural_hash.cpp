@@ -50,20 +50,6 @@ CircuitIdentity circuit_identity(const Circuit& c) {
   return {structural_hash(c), exact_hash(c)};
 }
 
-bool same_structure(const Circuit& a, const Circuit& b) {
-  if (a.num_nodes() != b.num_nodes() || a.pis() != b.pis() ||
-      a.ffs() != b.ffs() || a.pos() != b.pos())
-    return false;
-  for (NodeId v = 0; v < a.num_nodes(); ++v) {
-    const Node& x = a.node(v);
-    const Node& y = b.node(v);
-    if (x.type != y.type || x.num_fanins != y.num_fanins) return false;
-    for (int i = 0; i < x.num_fanins; ++i)
-      if (x.fanin[i] != y.fanin[i]) return false;
-  }
-  return true;
-}
-
 StructuralHash structural_hash(const Circuit& c, int rounds) {
   const std::size_t n = c.num_nodes();
   StructuralHash out;

@@ -64,13 +64,6 @@ struct CircuitIdentity {
 /// structural_hash() and exact_hash() of `c`.
 CircuitIdentity circuit_identity(const Circuit& c);
 
-/// True when `a` and `b` have the same node count, the same type, arity and
-/// used fanin slots per node id, and equal pis(), ffs() and pos() lists.
-/// Those are the only fields structural_hash() and exact_hash() read, so
-/// circuits that pass hash equal by construction. Names are ignored. O(N),
-/// with no sort and no refinement rounds.
-bool same_structure(const Circuit& a, const Circuit& b);
-
 /// Combine-style 64-bit mixer shared with the runtime cache shards.
 std::uint64_t hash_mix(std::uint64_t h, std::uint64_t v);
 

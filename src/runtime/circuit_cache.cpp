@@ -34,7 +34,9 @@ std::uint64_t workload_fingerprint(const Workload& w) {
 CircuitCache::CircuitCache(const CircuitCacheConfig& config)
     : structures_(config.structure_capacity, config.shards),
       embeddings_(config.embedding_capacity, config.shards),
-      regressions_(config.regression_capacity, config.shards) {
+      regressions_(config.regression_capacity, config.shards),
+      powers_(config.regression_capacity, config.shards),
+      scoaps_(config.structure_capacity, config.shards) {
   // Export every layer's hit/miss/eviction stream process-wide (all caches
   // of a process aggregate under one name — snapshot deltas isolate one
   // serving run when needed).
@@ -48,6 +50,8 @@ CircuitCache::CircuitCache(const CircuitCacheConfig& config)
   bind(structures_, "structures");
   bind(embeddings_, "embeddings");
   bind(regressions_, "regressions");
+  bind(powers_, "power");
+  bind(scoaps_, "scoap");
 }
 
 CircuitCache::Stats CircuitCache::stats() const {
@@ -55,9 +59,13 @@ CircuitCache::Stats CircuitCache::stats() const {
   s.structures = structures_.counters();
   s.embeddings = embeddings_.counters();
   s.regressions = regressions_.counters();
+  s.powers = powers_.counters();
+  s.scoaps = scoaps_.counters();
   s.structure_entries = structures_.size();
   s.embedding_entries = embeddings_.size();
   s.regression_entries = regressions_.size();
+  s.power_entries = powers_.size();
+  s.scoap_entries = scoaps_.size();
   return s;
 }
 

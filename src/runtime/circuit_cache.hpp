@@ -12,9 +12,11 @@
 
 #include "api/backend.hpp"
 #include "netlist/circuit.hpp"
+#include "netlist/scoap.hpp"
 #include "netlist/structural_hash.hpp"
 #include "nn/tensor.hpp"
 #include "obs/metrics.hpp"
+#include "power/power_analyzer.hpp"
 #include "sim/workload.hpp"
 
 namespace deepseq::runtime {
@@ -197,11 +199,25 @@ struct EmbeddingKey {
   bool operator==(const EmbeddingKey& o) const;
 };
 
+/// Key of the SCOAP layer: the circuit's two digests. SCOAP measures read
+/// the circuit alone and are indexed by node id, so an isomorphic circuit
+/// with permuted ids gets its own entry (see StructureKey::exact).
+struct ScoapKey {
+  StructuralHash structure;
+  std::uint64_t exact = 0;
+
+  std::uint64_t hash64() const { return hash_mix(structure.digest, exact); }
+  bool operator==(const ScoapKey& o) const {
+    return structure == o.structure && exact == o.exact;
+  }
+};
+
 /// Bitwise-exact fingerprint of a workload (PI probabilities + pattern
 /// seed) for embedding-cache keys.
 std::uint64_t workload_fingerprint(const Workload& w);
 
-/// Configuration of the three cache layers.
+/// Capacities of the cache layers. The power layer holds
+/// regression_capacity entries and the SCOAP layer structure_capacity.
 struct CircuitCacheConfig {
   std::size_t structure_capacity = 128;
   std::size_t embedding_capacity = 1024;
@@ -213,7 +229,12 @@ struct CircuitCacheConfig {
 /// netlist), final embeddings (skip the forward pass entirely on repeat
 /// requests), and regression-head outputs keyed by the same EmbeddingKey
 /// (warm multi-task logic/transition-probability/power traffic skips the
-/// two-head MLP forward as well). All methods are thread-safe.
+/// two-head MLP forward as well). Two task-head layers sit beside them:
+/// power reports keyed by the EmbeddingKey whose regression heads they were
+/// computed from, and SCOAP measures keyed by the circuit alone (ScoapKey).
+/// Each cache belongs to one api::Session, so the session's fixed power
+/// duration and SCOAP options need no key field. All methods are
+/// thread-safe.
 class CircuitCache {
  public:
   explicit CircuitCache(const CircuitCacheConfig& config = {});
@@ -245,13 +266,29 @@ class CircuitCache {
     return regressions_.get_or_build(k, std::forward<Builder>(b));
   }
 
+  template <typename Builder>
+  std::shared_ptr<const PowerReport> get_or_build_power(const EmbeddingKey& k,
+                                                        Builder&& b) {
+    return powers_.get_or_build(k, std::forward<Builder>(b));
+  }
+
+  template <typename Builder>
+  std::shared_ptr<const ScoapMeasures> get_or_build_scoap(const ScoapKey& k,
+                                                          Builder&& b) {
+    return scoaps_.get_or_build(k, std::forward<Builder>(b));
+  }
+
   struct Stats {
     CacheCounters structures;
     CacheCounters embeddings;
     CacheCounters regressions;
+    CacheCounters powers;
+    CacheCounters scoaps;
     std::size_t structure_entries = 0;
     std::size_t embedding_entries = 0;
     std::size_t regression_entries = 0;
+    std::size_t power_entries = 0;
+    std::size_t scoap_entries = 0;
   };
   Stats stats() const;
 
@@ -259,6 +296,8 @@ class CircuitCache {
   ShardedLruCache<StructureKey, api::BackendState> structures_;
   ShardedLruCache<EmbeddingKey, nn::Tensor> embeddings_;
   ShardedLruCache<EmbeddingKey, api::Regression> regressions_;
+  ShardedLruCache<EmbeddingKey, PowerReport> powers_;
+  ShardedLruCache<ScoapKey, ScoapMeasures> scoaps_;
 };
 
 }  // namespace deepseq::runtime

@@ -97,6 +97,9 @@ class InferenceEngine {
       const nn::Tensor& embedding, bool* cache_hit = nullptr);
 
   CircuitCache::Stats cache_stats() const { return cache_.stats(); }
+  /// The engine's cache, for task heads that cache their own outputs beside
+  /// the embedding (api::Session's power and SCOAP layers).
+  CircuitCache& cache() { return cache_; }
 
  private:
   std::shared_ptr<const api::BackendState> resolve_structure(

@@ -199,24 +199,21 @@ std::future<TaskReply> Client::submit(const api::TaskRequest& request,
                                       std::uint32_t deadline_ms) {
   if (!request.circuit)
     throw Error("serve::Client::submit: request without a circuit");
-  TaskRequestMsg msg;
-  msg.task = request.task;
-  msg.backend = request.backend;
-  msg.init_seed = request.init_seed;
-  msg.deadline_ms = deadline_ms;
-  msg.circuit = *request.circuit;
-  msg.workload = request.workload;
+  std::uint64_t request_id = 0;
   std::future<Outcome<TaskReply>> outcome;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     if (closed_)
       throw ServeError(ErrorCode::kShuttingDown, "client is closed");
-    msg.request_id = next_id_++;
-    Pending& p = pending_[msg.request_id];
+    request_id = next_id_++;
+    Pending& p = pending_[request_id];
     p.kind = MsgType::kTaskRequest;
     outcome = p.task.get_future();
   }
-  send_or_fail(msg.request_id, encode_frame(MsgType::kTaskRequest, encode(msg)));
+  send_or_fail(request_id,
+               encode_frame(MsgType::kTaskRequest,
+                            encode_task_request(request_id, request,
+                                                deadline_ms)));
   return std::async(std::launch::deferred,
                     [f = std::move(outcome)]() mutable { return take(f); });
 }

@@ -54,6 +54,12 @@ void WireWriter::bytes(const void* data, std::size_t n) {
   out_.append(static_cast<const char*>(data), n);
 }
 
+void WireWriter::patch_u32(std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    out_[at + static_cast<std::size_t>(i)] =
+        static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
 // ---- WireReader ------------------------------------------------------------
 
 const void* WireReader::raw(std::size_t n, const char* what) {
@@ -108,6 +114,10 @@ std::string WireReader::str(const char* what) {
   return std::string(p, n);
 }
 
+std::string_view WireReader::bytes(std::size_t n, const char* what) {
+  return {static_cast<const char*>(raw(n, what)), n};
+}
+
 void WireReader::expect_done(const char* message_name) const {
   if (pos_ != size_)
     throw Error(std::string("serve wire: ") + std::to_string(size_ - pos_) +
@@ -136,17 +146,18 @@ void encode_circuit(WireWriter& w, const Circuit& c) {
 Circuit decode_circuit(WireReader& r) {
   Circuit c(r.str("circuit name"));
   const std::uint32_t num_nodes = r.u32("node count");
-  if (num_nodes >= kNullNode)
+  // Every node takes at least 6 bytes (type, arity, name length), so a
+  // count the rest of the payload cannot hold is rejected before reserve
+  // allocates for it.
+  if (num_nodes >= kNullNode || num_nodes > r.remaining() / 6)
     throw Error("serve wire: implausible node count " +
                 std::to_string(num_nodes));
-  // Two passes: nodes are created in id order with placeholder fanins first
-  // (a fanin may legally reference a later node — FF feedback), then wired.
-  struct PendingFanin {
-    NodeId node;
-    int slot;
-    NodeId source;
-  };
-  std::vector<PendingFanin> wiring;
+  c.reserve(num_nodes);
+  // One pass in id order: add_gate and add_ff store fanin ids without
+  // resolving them, so a fanin may name a later node (FF feedback) before
+  // that node exists. One buffer serves every gate's fanins.
+  std::vector<NodeId> fanins;
+  fanins.reserve(3);
   for (std::uint32_t v = 0; v < num_nodes; ++v) {
     const std::uint8_t type_byte = r.u8("node type");
     if (type_byte >= kNumGateTypes)
@@ -159,31 +170,23 @@ Circuit decode_circuit(WireReader& r) {
                   std::string(gate_type_name(type)) + ") carries " +
                   std::to_string(arity) + " fanins, type needs " +
                   std::to_string(gate_arity(type)));
-    std::vector<NodeId> fanins(static_cast<std::size_t>(arity));
+    fanins.clear();
     for (int i = 0; i < arity; ++i) {
       const NodeId src = r.u32("fanin id");
       if (src >= num_nodes)
         throw Error("serve wire: node " + std::to_string(v) +
                     " fanin references id " + std::to_string(src) +
                     " beyond node count " + std::to_string(num_nodes));
-      fanins[static_cast<std::size_t>(i)] = src;
+      fanins.push_back(src);
     }
     std::string name = r.str("node name");
-    NodeId id = kNullNode;
     switch (type) {
-      case GateType::kPi: id = c.add_pi(std::move(name)); break;
-      case GateType::kConst0: id = c.add_const0(std::move(name)); break;
-      case GateType::kFf: id = c.add_ff(kNullNode, std::move(name)); break;
-      default:
-        id = c.add_gate(type,
-                        std::vector<NodeId>(fanins.size(), kNullNode),
-                        std::move(name));
-        break;
+      case GateType::kPi: c.add_pi(std::move(name)); break;
+      case GateType::kConst0: c.add_const0(std::move(name)); break;
+      case GateType::kFf: c.add_ff(fanins[0], std::move(name)); break;
+      default: c.add_gate(type, fanins, std::move(name)); break;
     }
-    for (int i = 0; i < arity; ++i)
-      wiring.push_back({id, i, fanins[static_cast<std::size_t>(i)]});
   }
-  for (const PendingFanin& pf : wiring) c.set_fanin(pf.node, pf.slot, pf.source);
   const std::uint32_t num_pos = r.u32("PO count");
   if (num_pos > num_nodes)
     throw Error("serve wire: more POs than nodes");
@@ -193,6 +196,13 @@ Circuit decode_circuit(WireReader& r) {
       throw Error("serve wire: PO references id beyond node count");
     c.add_po(node, r.str("PO name"));
   }
+  return c;
+}
+
+Circuit decode_circuit_section(std::string_view section) {
+  WireReader r(section);
+  Circuit c = decode_circuit(r);
+  r.expect_done("circuit section");
   return c;
 }
 
@@ -274,24 +284,52 @@ StructuralHash decode_structure(WireReader& r) {
 
 // ---- messages --------------------------------------------------------------
 
-std::string encode(const TaskRequestMsg& m) {
+namespace {
+
+std::string write_task_request(std::uint64_t request_id, api::TaskKind task,
+                               const std::string& backend,
+                               std::uint64_t init_seed,
+                               std::uint32_t deadline_ms,
+                               const Circuit& circuit,
+                               const Workload& workload) {
   WireWriter w;
   // The request id leads every request payload (before even the version),
   // so a server can address a typed error for an undecodable frame.
-  w.u64(m.request_id);
+  w.u64(request_id);
   w.u32(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(m.task));
-  w.str(m.backend);
-  w.u64(m.init_seed);
-  w.u32(m.deadline_ms);
-  encode_circuit(w, m.circuit);
-  encode_workload(w, m.workload);
+  w.u8(static_cast<std::uint8_t>(task));
+  w.str(backend);
+  w.u64(init_seed);
+  w.u32(deadline_ms);
+  const std::size_t length_at = w.size();
+  w.u32(0);
+  encode_circuit(w, circuit);
+  w.patch_u32(length_at,
+              static_cast<std::uint32_t>(w.size() - length_at - 4));
+  encode_workload(w, workload);
   return w.take();
 }
 
-TaskRequestMsg decode_task_request(const std::string& payload) {
+}  // namespace
+
+std::string encode(const TaskRequestMsg& m) {
+  return write_task_request(m.request_id, m.task, m.backend, m.init_seed,
+                            m.deadline_ms, m.circuit, m.workload);
+}
+
+std::string encode_task_request(std::uint64_t request_id,
+                                const api::TaskRequest& request,
+                                std::uint32_t deadline_ms) {
+  if (!request.circuit)
+    throw Error("serve wire: task request without a circuit");
+  return write_task_request(request_id, request.task, request.backend,
+                            request.init_seed, deadline_ms, *request.circuit,
+                            request.workload);
+}
+
+TaskRequestView decode_task_request_view(std::string_view payload) {
   WireReader r(payload);
-  TaskRequestMsg m;
+  TaskRequestView m;
   m.request_id = r.u64("request id");
   const std::uint32_t version = r.u32("protocol version");
   if (version != kProtocolVersion)
@@ -305,9 +343,23 @@ TaskRequestMsg decode_task_request(const std::string& payload) {
   m.backend = r.str("backend name");
   m.init_seed = r.u64("init seed");
   m.deadline_ms = r.u32("deadline");
-  m.circuit = decode_circuit(r);
+  m.circuit_section =
+      r.bytes(r.u32("circuit section length"), "circuit section");
   m.workload = decode_workload(r);
   r.expect_done("TaskRequest");
+  return m;
+}
+
+TaskRequestMsg decode_task_request(const std::string& payload) {
+  TaskRequestView v = decode_task_request_view(payload);
+  TaskRequestMsg m;
+  m.request_id = v.request_id;
+  m.task = v.task;
+  m.backend = std::move(v.backend);
+  m.init_seed = v.init_seed;
+  m.deadline_ms = v.deadline_ms;
+  m.circuit = decode_circuit_section(v.circuit_section);
+  m.workload = std::move(v.workload);
   return m;
 }
 

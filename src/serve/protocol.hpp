@@ -6,6 +6,14 @@
 //
 // Frame layout:  [u32 payload length (LE)] [u8 message type] [payload]
 //
+// Task request payload (version 2):
+//   [u64 request id] [u32 version] [u8 task kind] [str backend]
+//   [u64 init seed] [u32 deadline ms] [u32 circuit section length]
+//   [circuit section] [workload]
+// The length prefix lets a server take the circuit section's bytes without
+// decoding them: serve::Server looks them up in its circuit memo, and a
+// byte-identical repeat skips the decode and both hashes.
+//
 // All integers are little-endian; floating-point values travel as their raw
 // IEEE-754 bit patterns (u32 for float, u64 for double), so a served result
 // is BIT-IDENTICAL to the same computation run in-process — the acceptance
@@ -17,6 +25,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/session.hpp"
@@ -28,8 +37,9 @@ namespace deepseq::serve {
 
 /// Protocol revision. A server rejects frames whose request carries a
 /// different version (typed kBadRequest error naming both) instead of
-/// misparsing them.
-constexpr std::uint32_t kProtocolVersion = 1;
+/// misparsing them. Version 2 prefixes the request's circuit section with
+/// its length.
+constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Frames larger than this are rejected by readers before allocation — a
 /// corrupt length prefix must not look like a 4 GB message.
@@ -70,7 +80,11 @@ class WireWriter {
   void f64(double v);
   void str(const std::string& s);
   void bytes(const void* data, std::size_t n);
+  /// Overwrite the u32 written at byte offset `at` (a length prefix whose
+  /// value is known only after what it prefixes).
+  void patch_u32(std::size_t at, std::uint32_t v);
 
+  std::size_t size() const { return out_.size(); }
   const std::string& data() const { return out_; }
   std::string take() { return std::move(out_); }
 
@@ -84,7 +98,7 @@ class WireWriter {
 class WireReader {
  public:
   WireReader(const char* data, std::size_t size) : data_(data), size_(size) {}
-  explicit WireReader(const std::string& payload)
+  explicit WireReader(std::string_view payload)
       : WireReader(payload.data(), payload.size()) {}
 
   std::uint8_t u8(const char* what);
@@ -93,6 +107,8 @@ class WireReader {
   float f32(const char* what);
   double f64(const char* what);
   std::string str(const char* what);
+  /// The next `n` bytes, as a view into the payload.
+  std::string_view bytes(std::size_t n, const char* what);
 
   std::size_t remaining() const { return size_ - pos_; }
   /// Throws unless the payload was consumed exactly.
@@ -123,6 +139,19 @@ struct TaskRequestMsg {
   /// kOverloadDeadline) when its estimated queue wait exceeds this.
   std::uint32_t deadline_ms = 0;
   Circuit circuit;
+  Workload workload;
+};
+
+/// A task request decoded up to its circuit: every TaskRequestMsg field
+/// except the circuit, whose section stays as wire bytes (a view into the
+/// payload it was decoded from; valid only while that payload lives).
+struct TaskRequestView {
+  std::uint64_t request_id = 0;
+  api::TaskKind task = api::TaskKind::kEmbedding;
+  std::string backend;
+  std::uint64_t init_seed = 1;
+  std::uint32_t deadline_ms = 0;
+  std::string_view circuit_section;
   Workload workload;
 };
 
@@ -171,6 +200,11 @@ struct StatsResponseMsg {
 // structural problem and verify exact payload consumption.
 
 std::string encode(const TaskRequestMsg& m);
+/// The same payload as encode(TaskRequestMsg) for these fields, encoded
+/// straight from the request's shared circuit (no Circuit copy).
+std::string encode_task_request(std::uint64_t request_id,
+                                const api::TaskRequest& request,
+                                std::uint32_t deadline_ms);
 std::string encode(const TaskResponseMsg& m);
 std::string encode(const ErrorResponseMsg& m);
 std::string encode(const ReloadRequestMsg& m);
@@ -179,6 +213,9 @@ std::string encode(const StatsRequestMsg& m);
 std::string encode(const StatsResponseMsg& m);
 
 TaskRequestMsg decode_task_request(const std::string& payload);
+/// Decodes everything but the circuit section, which it checks only for
+/// length. decode_circuit_section() finishes the job.
+TaskRequestView decode_task_request_view(std::string_view payload);
 TaskResponseMsg decode_task_response(const std::string& payload);
 ErrorResponseMsg decode_error_response(const std::string& payload);
 ReloadRequestMsg decode_reload_request(const std::string& payload);
@@ -211,6 +248,9 @@ class FrameParser {
 
 void encode_circuit(WireWriter& w, const Circuit& c);
 Circuit decode_circuit(WireReader& r);
+/// decode_circuit over one whole circuit section: throws unless the
+/// section holds exactly one circuit.
+Circuit decode_circuit_section(std::string_view section);
 void encode_workload(WireWriter& w, const Workload& wl);
 Workload decode_workload(WireReader& r);
 void encode_tensor(WireWriter& w, const nn::Tensor& t);

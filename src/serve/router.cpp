@@ -5,8 +5,6 @@
 
 #include "artifact/artifact.hpp"
 #include "common/error.hpp"
-#include "netlist/structural_hash.hpp"
-#include "obs/metrics.hpp"
 
 namespace deepseq::serve {
 namespace {
@@ -15,48 +13,7 @@ namespace {
 /// same digest picks inside a CircuitCache.
 constexpr std::uint64_t kRouteSalt = 0x73657276652e7274ULL;  // "serve.rt"
 
-/// StructureMemo outcomes on the process-wide registry. Looked up once;
-/// recording is lock-free.
-struct MemoMetrics {
-  obs::Registry& reg = obs::Registry::global();
-  obs::Counter& hits = reg.counter("serve.structure_memo.hits");
-  obs::Counter& misses = reg.counter("serve.structure_memo.misses");
-  static MemoMetrics& get() {
-    static MemoMetrics m;
-    return m;
-  }
-};
-
 }  // namespace
-
-CircuitIdentity StructureMemo::lookup(
-    const std::shared_ptr<const Circuit>& circuit, std::uint64_t exact) {
-  Slot& slot = slots_[exact % kSlots];
-  std::shared_ptr<const Circuit> seen;
-  StructuralHash structure;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (slot.circuit != nullptr && slot.exact == exact) {
-      seen = slot.circuit;
-      structure = slot.structure;
-    }
-  }
-  // `seen` keeps the remembered circuit alive through the compare even if
-  // another thread overwrites the slot meanwhile.
-  if (seen != nullptr && same_structure(*seen, *circuit)) {
-    MemoMetrics::get().hits.inc();
-    return {structure, exact};
-  }
-  MemoMetrics::get().misses.inc();
-  structure = structural_hash(*circuit);
-  std::shared_ptr<const Circuit> evicted;  // released after the lock
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    evicted = std::move(slot.circuit);
-    slot = Slot{exact, circuit, structure};
-  }
-  return {structure, exact};
-}
 
 ShardRouter::ShardRouter(const RouterConfig& config) : config_(config) {
   if (config_.shards < 1)
@@ -102,21 +59,18 @@ void ShardRouter::worker_loop(Shard& shard) {
   }
 }
 
-void ShardRouter::submit(api::TaskRequest request, std::uint64_t deadline_ns,
+void ShardRouter::submit(api::TaskRequest request,
+                         const CircuitIdentity& identity,
+                         std::uint64_t deadline_ns,
                          std::function<void(RoutedOutcome&&)> done) {
-  int shard_index = 0;
-  CircuitIdentity identity;
-  try {
-    if (!request.circuit)
-      throw Error("ShardRouter::submit: request without a circuit");
-    identity = memo_.lookup(request.circuit, exact_hash(*request.circuit));
-    shard_index = shard_for(identity.structure);
-  } catch (...) {
+  if (!request.circuit) {
     RoutedOutcome out;
-    out.value = std::current_exception();
+    out.value = std::make_exception_ptr(
+        Error("ShardRouter::submit: request without a circuit"));
     done(std::move(out));
     return;
   }
+  const int shard_index = shard_for(identity.structure);
   Shard& shard = *shards_[static_cast<std::size_t>(shard_index)];
   Job job;
   job.kind = static_cast<int>(request.task);

@@ -13,25 +13,23 @@
 // jobs through Session::run_sync, so a routed result is exactly what a
 // direct in-process call produces.
 //
-// A served circuit is hashed once, here: submit() computes its exact_hash
-// and looks it up in a StructureMemo, which runs the Weisfeiler-Leman
-// structural_hash only for a netlist it has not just seen. The worker hands
-// that identity to the shard's Session (the trusted run_sync overload), so
-// neither the session nor its engine hashes again. A warm repeat therefore
-// runs no WL hash at all; the obs counters serve.structure_memo.{hits,
-// misses} count both cases.
+// The router hashes nothing. submit() takes the circuit's identity from
+// its caller: serve::Server's circuit memo decodes and hashes each new
+// circuit section once, and a byte-identical repeat reuses both. The router
+// routes by the identity's structural hash and hands the identity to the
+// shard's Session through the trusted run_sync overload, so the session
+// and its engine do not hash either.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <variant>
 #include <vector>
 
 #include "api/session.hpp"
+#include "netlist/structural_hash.hpp"
 #include "serve/admission.hpp"
 
 namespace deepseq::artifact {
@@ -51,35 +49,6 @@ struct RouterConfig {
   /// Session preset every shard is built from (each shard constructs its
   /// own instances through the registry).
   api::SessionConfig session;
-};
-
-/// Direct-mapped exact_hash -> StructuralHash memo in front of the router's
-/// structural hash. Each of kSlots slots remembers one circuit, its exact
-/// hash and its structural hash. A lookup is a hit only when same_structure()
-/// confirms the remembered circuit against the new one (an O(N) compare, run
-/// outside the lock), so a 64-bit exact_hash collision falls back to a full
-/// hash. The table pins at most kSlots request circuits. Thread-safe.
-class StructureMemo {
- public:
-  static constexpr std::size_t kSlots = 64;
-
-  /// The identity of `circuit`, whose exact_hash is `exact` (taken as an
-  /// argument so a test can forge a collision). A confirmed hit runs no
-  /// structural_hash and counts serve.structure_memo.hits; anything else
-  /// hashes once, overwrites the slot and counts
-  /// serve.structure_memo.misses.
-  CircuitIdentity lookup(const std::shared_ptr<const Circuit>& circuit,
-                         std::uint64_t exact);
-
- private:
-  struct Slot {
-    std::uint64_t exact = 0;
-    std::shared_ptr<const Circuit> circuit;  // null: empty slot
-    StructuralHash structure;
-  };
-
-  std::mutex mu_;
-  std::array<Slot, kSlots> slots_;
 };
 
 /// The terminal state of one routed request: exactly one of a served
@@ -106,11 +75,15 @@ class ShardRouter {
   /// across processes (it depends only on the hash and the shard count).
   int shard_for(const StructuralHash& h) const;
 
-  /// Route + admit + serve. The outcome callback fires exactly once, from a
-  /// shard worker (admitted path) or the calling thread (immediate shed /
-  /// pre-admission failure). `deadline_ns` is absolute on the admission
-  /// clock (0 = none). Never throws.
-  void submit(api::TaskRequest request, std::uint64_t deadline_ns,
+  /// Route + admit + serve. `identity` must be
+  /// circuit_identity(*request.circuit): the router routes by it and the
+  /// shard's Session keys its caches on it (a wrong one serves another
+  /// circuit's cached results). The outcome callback fires exactly once,
+  /// from a shard worker (admitted path) or the calling thread (immediate
+  /// shed / pre-admission failure). `deadline_ns` is absolute on the
+  /// admission clock (0 = none). Never throws.
+  void submit(api::TaskRequest request, const CircuitIdentity& identity,
+              std::uint64_t deadline_ns,
               std::function<void(RoutedOutcome&&)> done);
 
   /// Coordinated weight push: rebuild + swap on EVERY shard (tasks a
@@ -152,7 +125,6 @@ class ShardRouter {
   void worker_loop(Shard& shard);
 
   RouterConfig config_;
-  StructureMemo memo_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

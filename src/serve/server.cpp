@@ -231,9 +231,11 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
                           const FrameParser::Frame& frame) {
   switch (frame.type) {
     case MsgType::kTaskRequest: {
-      TaskRequestMsg msg;
+      TaskRequestView msg;
+      DecodedCircuit decoded;
       try {
-        msg = decode_task_request(frame.payload);
+        msg = decode_task_request_view(frame.payload);
+        decoded = memo_.lookup(msg.circuit_section);
       } catch (const std::exception& e) {
         send_error(conn, peek_request_id(frame.payload),
                    ErrorCode::kBadRequest, e.what());
@@ -242,7 +244,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       const int kind = static_cast<int>(msg.task);
       request_metrics(kind).submitted->inc();
       api::TaskRequest request;
-      request.circuit = std::make_shared<const Circuit>(std::move(msg.circuit));
+      request.circuit = std::move(decoded.circuit);
       request.workload = std::move(msg.workload);
       request.task = msg.task;
       request.backend = std::move(msg.backend);
@@ -256,7 +258,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
                     static_cast<std::uint64_t>(msg.deadline_ms) * 1000000ull;
       const std::uint64_t request_id = msg.request_id;
       router_->submit(
-          std::move(request), deadline_ns,
+          std::move(request), decoded.identity, deadline_ns,
           [this, conn, request_id, kind](RoutedOutcome&& out) {
             if (auto* result = std::get_if<api::TaskResult>(&out.value)) {
               request_metrics(kind).completed->inc();
@@ -371,7 +373,9 @@ std::string Server::stats_json() const {
            ",\"admitted\":[" + admitted + "],\"shed\":[" + shed +
            "],\"structures\":" + cache_json(st.cache.structures) +
            ",\"embeddings\":" + cache_json(st.cache.embeddings) +
-           ",\"regressions\":" + cache_json(st.cache.regressions) + "}";
+           ",\"regressions\":" + cache_json(st.cache.regressions) +
+           ",\"power\":" + cache_json(st.cache.powers) +
+           ",\"scoap\":" + cache_json(st.cache.scoaps) + "}";
   }
   out += "],\"requests\":{";
   for (int k = 0; k < kNumTaskKinds; ++k) {
@@ -382,7 +386,8 @@ std::string Server::stats_json() const {
            ",\"completed\":" + std::to_string(m.completed->value()) +
            ",\"failed\":" + std::to_string(m.failed->value()) + "}";
   }
-  // Structural hashes the routers ran (misses) and skipped (hits).
+  // Circuit-memo lookups: a miss decodes a circuit section and hashes the
+  // circuit once; a hit reuses both.
   obs::Registry& reg = obs::Registry::global();
   out += "},\"structure_memo\":{\"hits\":" +
          std::to_string(reg.counter("serve.structure_memo.hits").value()) +

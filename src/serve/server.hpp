@@ -7,6 +7,11 @@
 // lock, so many in-flight requests from one connection complete out of
 // order — the request id pairs them up client-side.
 //
+// A task request's circuit section is looked up, as wire bytes, in a
+// CircuitMemo before anything decodes it: a byte-identical repeat reuses
+// the circuit and identity decoded the first time, so it pays no decode
+// and no hash. The identity goes to ShardRouter::submit with the request.
+//
 // Endpoints:
 //   kTaskRequest   -> kTaskResponse | kErrorResponse (typed: bad request,
 //                     overload-queue-full, overload-deadline, shutting-down,
@@ -16,8 +21,9 @@
 //                     artifact::Store directory (DEEPSEQ_ARTIFACT_DIR or
 //                     ServeConfig::artifact_dir)
 //   kStatsRequest  -> one JSON document: per-kind serving counters, per-
-//                     shard admission/cache stats and the structure memo's
-//                     hits/misses — the health endpoint.
+//                     shard admission stats and every cache layer's
+//                     counters, and the circuit memo's hits/misses — the
+//                     health endpoint.
 
 #include <atomic>
 #include <cstdint>
@@ -27,6 +33,7 @@
 #include <string>
 #include <thread>
 
+#include "serve/circuit_memo.hpp"
 #include "serve/protocol.hpp"
 #include "serve/router.hpp"
 
@@ -96,6 +103,7 @@ class Server {
                   const std::string& detail);
 
   ServeConfig config_;
+  CircuitMemo memo_;
   std::unique_ptr<ShardRouter> router_;
   std::shared_ptr<const artifact::Store> store_;  // swapped by rescan
   mutable std::mutex store_mu_;

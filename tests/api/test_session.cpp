@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "api/backends.hpp"
@@ -12,6 +15,7 @@
 #include "dataset/generator.hpp"
 #include "netlist/aig.hpp"
 #include "netlist/scoap.hpp"
+#include "netlist/structural_hash.hpp"
 #include "nn/graph.hpp"
 #include "power/pipeline.hpp"
 #include "reliability/reliability_model.hpp"
@@ -299,6 +303,201 @@ TEST(Session, WarmProbabilityTrafficSkipsRegressionHeads) {
       make_request(circuit, TaskKind::kLogicProb, /*workload_seed=*/21));
   EXPECT_FALSE(other.embedding_cache_hit);
   EXPECT_FALSE(other.regression_cache_hit);
+}
+
+// ---- task-head caches: power reports and SCOAP measures ---------------------
+
+bool bits_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+bool same_report(const PowerReport& a, const PowerReport& b) {
+  return bits_equal(a.total_watts, b.total_watts) &&
+         bits_equal(a.combinational_watts, b.combinational_watts) &&
+         bits_equal(a.sequential_watts, b.sequential_watts) &&
+         bits_equal(a.io_watts, b.io_watts) &&
+         a.nets_matched == b.nets_matched && a.nets_missing == b.nets_missing;
+}
+
+bool same_power(const TaskResult& a, const TaskResult& b) {
+  const auto& x = a.as<PowerOutput>();
+  const auto& y = b.as<PowerOutput>();
+  return same_report(x.report, y.report) && x.logic1 == y.logic1 &&
+         x.toggle_rate == y.toggle_rate;
+}
+
+bool same_scoap(const ScoapMeasures& a, const ScoapMeasures& b) {
+  return a.cc0 == b.cc0 && a.cc1 == b.cc1 && a.co == b.co &&
+         a.controllability_iterations == b.controllability_iterations &&
+         a.observability_iterations == b.observability_iterations;
+}
+
+/// An isomorphic copy of `c` under other node ids: FFs first, then PIs,
+/// then gates in reverse id order. Interface lists keep their relative
+/// order, so the structural hash is unchanged and the exact hash is not.
+Circuit renumbered(const Circuit& c) {
+  Circuit out(c.name());
+  std::vector<NodeId> map(c.num_nodes(), kNullNode);
+  for (NodeId id : c.ffs()) map[id] = out.add_ff(kNullNode, c.node_name(id));
+  for (NodeId id : c.pis()) map[id] = out.add_pi(c.node_name(id));
+  for (NodeId id = static_cast<NodeId>(c.num_nodes()); id-- > 0;) {
+    if (c.type(id) == GateType::kPi || c.type(id) == GateType::kFf) continue;
+    map[id] = out.add_gate(
+        c.type(id),
+        std::vector<NodeId>(static_cast<std::size_t>(c.num_fanins(id)),
+                            kNullNode),
+        c.node_name(id));
+  }
+  for (NodeId id = 0; id < c.num_nodes(); ++id)
+    for (int s = 0; s < c.num_fanins(id); ++s)
+      out.set_fanin(map[id], s, map[c.fanin(id, s)]);
+  for (std::size_t k = 0; k < c.pos().size(); ++k)
+    out.add_po(map[c.pos()[k]], c.po_name(k));
+  return out;
+}
+
+TEST(Session, WarmPowerAndTestabilityComeFromTheHeadCaches) {
+  Session session(small_session());
+  const auto circuit = shared_aig(23);
+  const TaskRequest power = make_request(circuit, TaskKind::kPower);
+  const TaskRequest test = make_request(circuit, TaskKind::kTestability);
+
+  const TaskResult cold_power = session.run_sync(power);
+  const TaskResult cold_test = session.run_sync(test);
+  EXPECT_FALSE(cold_power.regression_cache_hit);
+  auto stats = session.cache_stats();
+  EXPECT_EQ(stats.powers.misses, 1u);
+  EXPECT_EQ(stats.scoaps.misses, 1u);
+  EXPECT_EQ(stats.powers.hits + stats.scoaps.hits, 0u);
+
+  const TaskResult warm_power = session.run_sync(power);
+  const TaskResult warm_test = session.run_sync(test);
+  // The power path still looks its regression heads up: the reply flag
+  // keeps its meaning.
+  EXPECT_TRUE(warm_power.regression_cache_hit);
+  stats = session.cache_stats();
+  EXPECT_EQ(stats.powers.hits, 1u);
+  EXPECT_EQ(stats.scoaps.hits, 1u);
+  EXPECT_EQ(stats.power_entries, 1u);
+  EXPECT_EQ(stats.scoap_entries, 1u);
+
+  // Warm results are bit-identical to a fresh session's cold ones.
+  Session fresh(small_session());
+  EXPECT_TRUE(same_power(warm_power, fresh.run_sync(power)));
+  EXPECT_TRUE(same_power(warm_power, cold_power));
+  const TaskResult fresh_test = fresh.run_sync(test);
+  const ScoapMeasures& want = fresh_test.as<TestabilityOutput>().scoap;
+  EXPECT_TRUE(same_scoap(warm_test.as<TestabilityOutput>().scoap, want));
+  EXPECT_TRUE(same_scoap(cold_test.as<TestabilityOutput>().scoap, want));
+}
+
+TEST(Session, RenamedCopyGetsTheSamePowerReport) {
+  Session session(small_session());
+  const auto circuit = shared_aig(24);
+  // Names the old suffix scheme collided on: even nodes all "x", odd nodes
+  // x_1, x_2, ... themselves.
+  Circuit copy = *circuit;
+  for (NodeId v = 0; v < copy.num_nodes(); ++v)
+    copy.set_node_name(v,
+                       v % 2 == 0 ? "x" : "x_" + std::to_string((v + 1) / 2));
+  const auto renamed = std::make_shared<const Circuit>(std::move(copy));
+
+  const TaskResult first =
+      session.run_sync(make_request(circuit, TaskKind::kPower));
+  const TaskRequest req = make_request(renamed, TaskKind::kPower);
+  const TaskResult second = session.run_sync(req);
+  EXPECT_EQ(session.cache_stats().powers.hits, 1u);
+  EXPECT_TRUE(same_power(second, first));
+  // Computed cold, the renamed copy's report is the same bits: caching the
+  // report under the EmbeddingKey, which ignores names, is exact.
+  Session fresh(small_session());
+  EXPECT_TRUE(same_power(fresh.run_sync(req), first));
+}
+
+TEST(Session, RenumberedIsomorphicCopyGetsItsOwnScoapMeasures) {
+  Session session(small_session());
+  const auto circuit = shared_aig(25);
+  const auto permuted = std::make_shared<const Circuit>(renumbered(*circuit));
+  ASSERT_EQ(structural_hash(*permuted), structural_hash(*circuit));
+  ASSERT_NE(exact_hash(*permuted), exact_hash(*circuit));
+
+  const TaskResult a =
+      session.run_sync(make_request(circuit, TaskKind::kTestability));
+  const TaskResult b =
+      session.run_sync(make_request(permuted, TaskKind::kTestability));
+  EXPECT_EQ(session.cache_stats().scoaps.misses, 2u);
+  EXPECT_EQ(session.cache_stats().scoaps.hits, 0u);
+  EXPECT_TRUE(same_scoap(a.as<TestabilityOutput>().scoap,
+                         compute_scoap(*circuit)));
+  EXPECT_TRUE(same_scoap(b.as<TestabilityOutput>().scoap,
+                         compute_scoap(*permuted)));
+  EXPECT_NE(a.as<TestabilityOutput>().scoap.cc0,
+            b.as<TestabilityOutput>().scoap.cc0);
+}
+
+TEST(Session, NewWorkloadMissesThePowerLayerButHitsTheScoapLayer) {
+  Session session(small_session());
+  const auto circuit = shared_aig(26);
+  (void)session.run_sync(make_request(circuit, TaskKind::kPower, 1));
+  (void)session.run_sync(make_request(circuit, TaskKind::kTestability, 1));
+
+  const TaskResult power =
+      session.run_sync(make_request(circuit, TaskKind::kPower, 2));
+  const TaskResult test =
+      session.run_sync(make_request(circuit, TaskKind::kTestability, 2));
+  const auto stats = session.cache_stats();
+  EXPECT_EQ(stats.powers.misses, 2u);
+  EXPECT_EQ(stats.powers.hits, 0u);
+  EXPECT_EQ(stats.scoaps.misses, 1u);
+  EXPECT_EQ(stats.scoaps.hits, 1u);
+  EXPECT_FALSE(power.regression_cache_hit);
+
+  Session fresh(small_session());
+  EXPECT_TRUE(same_power(
+      power, fresh.run_sync(make_request(circuit, TaskKind::kPower, 2))));
+}
+
+TEST(Session, ConcurrentPowerAndTestabilityRequestsAreSafe) {
+  Session session(small_session());
+  Session reference(small_session());
+  std::vector<std::shared_ptr<const Circuit>> circuits;
+  std::vector<TaskResult> want_power, want_test;
+  for (std::uint64_t seed = 30; seed < 33; ++seed) {
+    circuits.push_back(shared_aig(seed));
+    want_power.push_back(
+        reference.run_sync(make_request(circuits.back(), TaskKind::kPower)));
+    want_test.push_back(reference.run_sync(
+        make_request(circuits.back(), TaskKind::kTestability)));
+  }
+  // Two threads race power and testability requests over the same three
+  // circuits on one Session: both head layers fill and hit concurrently.
+  constexpr int kThreads = 2, kRequests = 24;
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRequests; ++i) {
+        const std::size_t c = static_cast<std::size_t>(i) % circuits.size();
+        if ((i + t) % 2 == 0) {
+          const TaskResult got =
+              session.run_sync(make_request(circuits[c], TaskKind::kPower));
+          if (!same_power(got, want_power[c])) ++wrong[t];
+        } else {
+          const TaskResult got = session.run_sync(
+              make_request(circuits[c], TaskKind::kTestability));
+          if (!same_scoap(got.as<TestabilityOutput>().scoap,
+                          want_test[c].as<TestabilityOutput>().scoap))
+            ++wrong[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
+  const auto stats = session.cache_stats();
+  EXPECT_EQ(stats.powers.hits + stats.powers.misses +
+                stats.scoaps.hits + stats.scoaps.misses,
+            static_cast<std::uint64_t>(kThreads * kRequests));
 }
 
 }  // namespace

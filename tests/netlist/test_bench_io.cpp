@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "common/error.hpp"
 #include "dataset/embedded.hpp"
 
@@ -108,6 +111,29 @@ TEST(BenchIo, UniqueNodeNamesAreUnique) {
   const auto names = unique_node_names(c);
   EXPECT_NE(names[0], names[1]);
   EXPECT_FALSE(names[2].empty());
+}
+
+TEST(BenchIo, GeneratedNamesNeverClaimAnotherNodesName) {
+  // A generated suffix or "n<id>" fallback must not reproduce a name that
+  // another node carries itself: "a, a, a_1" once became "a, a_1, a_1".
+  Circuit c;
+  const NodeId a0 = c.add_pi("a");
+  const NodeId a1 = c.add_pi("a");
+  const NodeId a2 = c.add_pi("a_1");
+  const NodeId g = c.add_and(a0, a1, "n4_1");
+  const NodeId h = c.add_and(g, a2);  // unnamed: base "n4"
+  c.add_and(h, a0, "n4");
+  const auto names = unique_node_names(c);
+  const std::set<std::string> distinct(names.begin(), names.end());
+  EXPECT_EQ(distinct.size(), names.size());
+  // Nodes whose name is their own and first keep it.
+  EXPECT_EQ(names[a0], "a");
+  EXPECT_EQ(names[a2], "a_1");
+  EXPECT_EQ(names[g], "n4_1");
+  EXPECT_EQ(names[h], "n4");
+  // The written BENCH declares one net per node.
+  const Circuit back = parse_bench_string(write_bench_string(c));
+  EXPECT_EQ(back.num_nodes(), c.num_nodes());
 }
 
 TEST(BenchIo, FileRoundTrip) {

@@ -203,6 +203,9 @@ TEST(ObsSessionTrace, OneTaskYieldsACompleteSpanChain) {
       EXPECT_NE(doc.find(span), std::string::npos) << "missing span " << span;
     }
     EXPECT_EQ(doc.find("\"queue\""), std::string::npos);  // no queue stage
+    // The head span says whether a cache layer served each head.
+    EXPECT_NE(doc.find("\"regression_cache_hit\""), std::string::npos);
+    EXPECT_NE(doc.find("\"head_cache_hit\""), std::string::npos);
     EXPECT_NE(doc.find("\"kind\":\"logic-prob\""), std::string::npos);
     // Every span of the single task carries the same task id.
     const std::vector<std::uint64_t> ids = task_ids_in(doc);

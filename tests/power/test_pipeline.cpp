@@ -38,6 +38,31 @@ TEST(MapWorkload, SizeMismatchThrows) {
   EXPECT_THROW(map_workload_to_aig(generic, conv.node_map, conv.aig, w), Error);
 }
 
+TEST(PowerFromActivity, DependsOnActivityNotOnNodeNames) {
+  // Rename every node so that the old suffix scheme collided: even nodes
+  // are all "x" (their generated suffixes run x_1, x_2, ...) while odd
+  // nodes carry x_1, x_2, ... themselves. Two nodes sharing one net name
+  // would share one SAIF record, and the report would change.
+  const Circuit c = iscas89_s27();
+  Circuit renamed = c;
+  for (NodeId v = 0; v < renamed.num_nodes(); ++v)
+    renamed.set_node_name(
+        v, v % 2 == 0 ? "x" : "x_" + std::to_string((v + 1) / 2));
+  std::vector<double> logic1(c.num_nodes()), rate(c.num_nodes());
+  for (NodeId v = 0; v < c.num_nodes(); ++v) {
+    logic1[v] = 0.1 + 0.8 * v / c.num_nodes();
+    rate[v] = 0.05 + 0.03 * v;
+  }
+  const PowerReport want = power_from_activity(c, logic1, rate, 10000);
+  const PowerReport got = power_from_activity(renamed, logic1, rate, 10000);
+  EXPECT_EQ(got.total_watts, want.total_watts);  // bit-identical
+  EXPECT_EQ(got.combinational_watts, want.combinational_watts);
+  EXPECT_EQ(got.sequential_watts, want.sequential_watts);
+  EXPECT_EQ(got.io_watts, want.io_watts);
+  EXPECT_EQ(got.nets_matched, c.num_nodes());
+  EXPECT_EQ(got.nets_missing, 0u);
+}
+
 /// The full Fig. 3 pipeline on a miniature design: exercises fine-tuning,
 /// all four SAIF emissions and the analyzer. Keep the knobs tiny — this is
 /// a smoke/contract test, not a benchmark.

@@ -129,7 +129,7 @@ TEST(StructuralHash, SensitiveToPoOrder) {
   EXPECT_NE(structural_hash(a), structural_hash(b));
 }
 
-// ---- same_structure --------------------------------------------------------
+// ---- exact_hash ------------------------------------------------------------
 
 /// One change each: the AND becomes another gate type, the two PIs trade
 /// places, the last gate reads another fanin, or a second PO is added.
@@ -169,19 +169,18 @@ Circuit renamed_copy(const Circuit& c) {
   return out;
 }
 
-TEST(SameStructure, TrueForARenamedCopy) {
+TEST(ExactHash, EqualForARenamedCopy) {
+  // Names are not identity: the power layer caches a report under a key
+  // that a renamed copy shares.
   for (const Circuit& a : {loop_circuit(), random_aig(3)}) {
     const Circuit b = renamed_copy(a);
     ASSERT_NE(a.node_name(0), b.node_name(0));
-    EXPECT_TRUE(same_structure(a, b));
-    EXPECT_TRUE(same_structure(a, a));
-    // What the memo relies on: a confirmed match hashes equal both ways.
     EXPECT_EQ(structural_hash(a), structural_hash(b));
     EXPECT_EQ(exact_hash(a), exact_hash(b));
   }
 }
 
-TEST(SameStructure, FalseForOneChangedFaninGateTypePiOrderOrPo) {
+TEST(ExactHash, ChangesWithOneFaninGateTypePiOrderOrPo) {
   const Circuit a = loop_circuit();
   const Circuit changed[] = {
       loop_circuit({.rewire = true}),
@@ -191,18 +190,8 @@ TEST(SameStructure, FalseForOneChangedFaninGateTypePiOrderOrPo) {
   };
   for (const Circuit& b : changed) {
     ASSERT_EQ(a.num_nodes(), b.num_nodes());
-    EXPECT_FALSE(same_structure(a, b));
-    EXPECT_FALSE(same_structure(b, a));
     EXPECT_NE(exact_hash(a), exact_hash(b));
   }
-}
-
-TEST(SameStructure, FalseForAnIsomorphicRenumbering) {
-  const Circuit a = random_aig(4);
-  const Circuit b = permute_node_ids(a, 11);
-  ASSERT_EQ(structural_hash(a), structural_hash(b));
-  ASSERT_NE(exact_hash(a), exact_hash(b));
-  EXPECT_FALSE(same_structure(a, b));
 }
 
 // ---- generic sharded LRU ---------------------------------------------------

@@ -22,9 +22,9 @@ namespace deepseq::serve {
 namespace {
 
 // A small sequential netlist exercising every wire feature: FF feedback
-// (set_fanin closes the loop to a LATER node id, so decode must wire in two
-// passes), node and PO names (the power task matches nets by name), and a
-// node that is both PO and FF fanin.
+// (set_fanin closes the loop to a LATER node id, which decode must accept
+// before that node exists), node and PO names (the power task matches nets
+// by name), and a node that is both PO and FF fanin.
 Circuit wire_circuit() {
   Circuit c("wire");
   const NodeId a = c.add_pi("in_a");
@@ -131,6 +131,83 @@ TEST(ServeProtocol, TaskRequestRoundTrip) {
   EXPECT_EQ(structural_hash(d.circuit), structural_hash(m.circuit));
   EXPECT_EQ(d.workload.pattern_seed, m.workload.pattern_seed);
   EXPECT_EQ(d.workload.pi_prob.size(), m.workload.pi_prob.size());
+}
+
+TEST(ServeProtocol, RequestViewLeavesTheCircuitSectionAsBytes) {
+  TaskRequestMsg m;
+  m.request_id = 5;
+  m.task = api::TaskKind::kTestability;
+  m.backend = "pace";
+  m.init_seed = 3;
+  m.deadline_ms = 20;
+  m.circuit = wire_circuit();
+  m.workload = wire_workload();
+  const std::string payload = encode(m);
+
+  const TaskRequestView v = decode_task_request_view(payload);
+  EXPECT_EQ(v.request_id, m.request_id);
+  EXPECT_EQ(v.task, m.task);
+  EXPECT_EQ(v.backend, m.backend);
+  EXPECT_EQ(v.init_seed, m.init_seed);
+  EXPECT_EQ(v.deadline_ms, m.deadline_ms);
+  EXPECT_EQ(v.workload.pi_prob, m.workload.pi_prob);
+  // The section is encode_circuit's bytes, viewed in place in the payload.
+  WireWriter w;
+  encode_circuit(w, m.circuit);
+  EXPECT_EQ(v.circuit_section, w.data());
+  EXPECT_GE(v.circuit_section.data(), payload.data());
+  EXPECT_LE(v.circuit_section.data() + v.circuit_section.size(),
+            payload.data() + payload.size());
+  const Circuit d = decode_circuit_section(v.circuit_section);
+  EXPECT_EQ(exact_hash(d), exact_hash(m.circuit));
+  EXPECT_THROW(decode_circuit_section(std::string(w.data()) + '\0'), Error);
+}
+
+TEST(ServeProtocol, EncodingFromTheSharedCircuitMatchesTheMessageEncoding) {
+  TaskRequestMsg m;
+  m.request_id = 11;
+  m.task = api::TaskKind::kPower;
+  m.backend = "deepseq";
+  m.init_seed = 9;
+  m.deadline_ms = 250;
+  m.circuit = wire_circuit();
+  m.workload = wire_workload();
+  api::TaskRequest request;
+  request.circuit = std::make_shared<const Circuit>(m.circuit);
+  request.workload = m.workload;
+  request.task = m.task;
+  request.backend = m.backend;
+  request.init_seed = m.init_seed;
+  EXPECT_EQ(encode_task_request(m.request_id, request, m.deadline_ms),
+            encode(m));
+  request.circuit = nullptr;
+  EXPECT_THROW((void)encode_task_request(1, request, 0), Error);
+}
+
+TEST(ServeProtocol, CircuitSectionLengthMustMatchItsContent) {
+  TaskRequestMsg m;
+  m.circuit = wire_circuit();
+  m.workload = wire_workload();
+  const std::string payload = encode(m);
+  // The u32 section length follows id, version, kind, the empty backend
+  // string, seed and deadline.
+  const std::size_t length_at = 8 + 4 + 1 + 4 + 8 + 4;
+  for (const int delta : {-1, 1}) {
+    std::string bad = payload;
+    bad[length_at] = static_cast<char>(bad[length_at] + delta);
+    EXPECT_THROW(decode_task_request(bad), Error) << "delta " << delta;
+  }
+  std::string huge = payload;
+  huge[length_at + 3] = static_cast<char>(0x7f);
+  EXPECT_THROW(decode_task_request_view(huge), Error);
+}
+
+TEST(ServeProtocol, ImplausibleNodeCountIsRejectedBeforeAllocating) {
+  WireWriter w;
+  w.str("big");
+  w.u32(0x7fffffffu);  // nodes the rest of the section cannot hold
+  w.u32(0);
+  EXPECT_THROW(decode_circuit_section(w.data()), Error);
 }
 
 TEST(ServeProtocol, RequestIdLeadsEveryRequestPayload) {

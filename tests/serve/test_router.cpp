@@ -1,10 +1,10 @@
 // Shard-routing tests (the placement half of the serving tier): isomorphic
 // circuits — node ids permuted, everything renamed — always land on the
 // same shard, the routing function is pinned so it stays stable across
-// processes and releases, a repeated netlist is structurally hashed once
-// (the structure memo, confirmed node by node), per-shard caches are
-// isolated, and a coordinated reload_all flips every shard's fingerprint
-// with zero dropped in-flight tasks.
+// processes and releases, the identity a caller hands to submit() routes
+// the request and keys the shard's caches, per-shard caches are isolated,
+// and a coordinated reload_all flips every shard's fingerprint with zero
+// dropped in-flight tasks.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "common/rng.hpp"
 #include "dataset/generator.hpp"
 #include "netlist/structural_hash.hpp"
-#include "obs/metrics.hpp"
 #include "serve/router.hpp"
 #include "sim/workload.hpp"
 
@@ -88,33 +87,24 @@ api::TaskRequest embedding_request(std::shared_ptr<const Circuit> circuit,
   return req;
 }
 
-/// submit() with the callback turned into a future.
+/// submit() with the circuit's identity computed here (as the server's
+/// circuit memo does) and the callback turned into a future.
 std::future<RoutedOutcome> route(ShardRouter& router, api::TaskRequest req,
                                  std::uint64_t deadline_ns = 0) {
+  const CircuitIdentity identity = req.circuit != nullptr
+                                       ? circuit_identity(*req.circuit)
+                                       : CircuitIdentity{};
   auto promise = std::make_shared<std::promise<RoutedOutcome>>();
   std::future<RoutedOutcome> fut = promise->get_future();
-  router.submit(std::move(req), deadline_ns,
+  router.submit(std::move(req), identity, deadline_ns,
                 [promise](RoutedOutcome&& out) {
                   promise->set_value(std::move(out));
                 });
   return fut;
 }
 
-/// The process-wide structure memo counters. Tests compare deltas: every
-/// router in the process counts into the same two counters.
-struct MemoCounts {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-
-MemoCounts memo_counts() {
-  obs::Registry& reg = obs::Registry::global();
-  return {reg.counter("serve.structure_memo.hits").value(),
-          reg.counter("serve.structure_memo.misses").value()};
-}
-
-/// A fresh copy of `c`, as a server decodes one per request: equal node
-/// arrays, never the same object.
+/// A fresh copy of `c`, as a server decodes one per new section: equal
+/// node arrays, never the same object.
 std::shared_ptr<const Circuit> fresh_copy(const Circuit& c) {
   return std::make_shared<const Circuit>(c);
 }
@@ -179,16 +169,14 @@ TEST(ServeRouter, ServedResultMatchesDirectRunSyncBitForBit) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.shard, router.shard_for(structural_hash(*req.circuit)));
 
-  // A second submit of an equal copy takes the memo's hash: same shard,
-  // same bits.
+  // A second submit of an equal copy: same shard, served from the first
+  // submit's embedding, same bits.
   api::TaskRequest again = req;
   again.circuit = fresh_copy(*req.circuit);
-  const MemoCounts before = memo_counts();
   RoutedOutcome hit = route(router, again).get();
   ASSERT_TRUE(hit.ok());
-  EXPECT_EQ(memo_counts().hits - before.hits, 1u);
-  EXPECT_EQ(memo_counts().misses, before.misses);
   EXPECT_EQ(hit.shard, out.shard);
+  EXPECT_TRUE(std::get<api::TaskResult>(hit.value).embedding_cache_hit);
 
   // Reference: a fresh Session built from the identical preset.
   api::Session reference(small_router(1).session);
@@ -205,12 +193,11 @@ TEST(ServeRouter, ServedResultMatchesDirectRunSyncBitForBit) {
   }
 }
 
-TEST(ServeRouter, EqualCopiesHashOnceAndARenumberedCopyHashesAgain) {
+TEST(ServeRouter, EqualCopiesShareOneEmbeddingAndARenumberedCopyGetsItsOwn) {
   ShardRouter router(small_router(/*shards=*/3));
   const auto original = shared_aig(4);
   constexpr int kSubmits = 5;
 
-  const MemoCounts start = memo_counts();
   std::vector<api::TaskResult> served;
   int shard = -1;
   for (int i = 0; i < kSubmits; ++i) {
@@ -223,26 +210,21 @@ TEST(ServeRouter, EqualCopiesHashOnceAndARenumberedCopyHashesAgain) {
     shard = out.shard;
     served.push_back(std::get<api::TaskResult>(std::move(out.value)));
   }
-  const MemoCounts copies = memo_counts();
-  EXPECT_EQ(copies.misses - start.misses, 1u);
-  EXPECT_EQ(copies.hits - start.hits, static_cast<std::uint64_t>(kSubmits - 1));
-  // The handed-down identity keys the shard's caches as a hash would: every
-  // repeat is served from the first request's embedding.
+  // The handed-down identity keys the shard's caches: every repeat is
+  // served from the first request's embedding.
   for (std::size_t i = 1; i < served.size(); ++i) {
     EXPECT_TRUE(served[i].embedding_cache_hit) << "submit " << i;
     EXPECT_EQ(served[i].structure, served[0].structure);
   }
 
   // An isomorphic copy with other node ids is a different exact netlist: it
-  // hashes once more, routes to the same shard and gets its own embedding.
+  // routes to the same shard and gets its own embedding.
   const auto renumbered =
       std::make_shared<const Circuit>(permute_isomorphic(*original));
   ASSERT_NE(exact_hash(*renumbered), exact_hash(*original));
   const api::TaskRequest req = embedding_request(renumbered);
   RoutedOutcome out = route(router, req).get();
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(memo_counts().misses - copies.misses, 1u);
-  EXPECT_EQ(memo_counts().hits, copies.hits);
   EXPECT_EQ(out.shard, shard);
   const api::TaskResult& got = std::get<api::TaskResult>(out.value);
   EXPECT_EQ(got.structure, served[0].structure);
@@ -254,66 +236,6 @@ TEST(ServeRouter, EqualCopiesHashOnceAndARenumberedCopyHashesAgain) {
   ASSERT_EQ(emb.size(), want.size());
   EXPECT_EQ(std::memcmp(emb.data(), want.data(), emb.size() * sizeof(float)),
             0);
-}
-
-TEST(StructureMemo, ForgedExactHashCollisionFallsBackToAFullHash) {
-  StructureMemo memo;
-  const auto a = shared_aig(1);
-  const auto b = shared_aig(2);
-  ASSERT_NE(structural_hash(*a), structural_hash(*b));
-  const std::uint64_t key = exact_hash(*a);
-
-  const MemoCounts start = memo_counts();
-  EXPECT_EQ(memo.lookup(a, key).structure, structural_hash(*a));  // seeds K
-  EXPECT_EQ(memo.lookup(fresh_copy(*a), key).structure, structural_hash(*a));
-  const MemoCounts seeded = memo_counts();
-  EXPECT_EQ(seeded.misses - start.misses, 1u);
-  EXPECT_EQ(seeded.hits - start.hits, 1u);
-
-  // B under A's key: the node compare rejects the remembered A, so B gets
-  // its own full hash and counts a miss.
-  const CircuitIdentity forged = memo.lookup(b, key);
-  EXPECT_EQ(forged.structure, structural_hash(*b));
-  EXPECT_EQ(forged.exact, key);
-  EXPECT_EQ(memo_counts().misses - seeded.misses, 1u);
-  EXPECT_EQ(memo_counts().hits, seeded.hits);
-
-  // B took the slot over: A under K misses again.
-  EXPECT_EQ(memo.lookup(a, key).structure, structural_hash(*a));
-  EXPECT_EQ(memo_counts().misses - seeded.misses, 2u);
-}
-
-TEST(StructureMemo, ConcurrentLookupsReturnEachCircuitsOwnHash) {
-  StructureMemo memo;
-  std::vector<std::shared_ptr<const Circuit>> circuits;
-  std::vector<StructuralHash> want;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    circuits.push_back(shared_aig(seed));
-    want.push_back(structural_hash(*circuits.back()));
-  }
-  // Half the lookups use each circuit's own exact hash, half one forged key
-  // that every circuit shares, so threads race on hits, misses and the
-  // overwrite of one contended slot.
-  constexpr std::uint64_t kForged = 42;
-  constexpr int kThreads = 4, kLookups = 60;
-  const MemoCounts start = memo_counts();
-  std::vector<int> wrong(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kLookups; ++i) {
-        const std::size_t c = static_cast<std::size_t>(t + i) % circuits.size();
-        const auto copy = fresh_copy(*circuits[c]);
-        const std::uint64_t key = i % 2 == 0 ? exact_hash(*copy) : kForged;
-        if (memo.lookup(copy, key).structure != want[c]) ++wrong[t];
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
-  const MemoCounts end = memo_counts();
-  EXPECT_EQ((end.hits - start.hits) + (end.misses - start.misses),
-            static_cast<std::uint64_t>(kThreads * kLookups));
 }
 
 TEST(ServeRouter, ShardCachesAreIsolated) {

@@ -2,17 +2,25 @@
 // socket round trip is bit-identical to a direct Session::run_sync with the
 // same preset (the tier's acceptance contract), overload sheds typed
 // instead of queueing unboundedly, the stats endpoint serves valid JSON
-// and counts one structural hash per new structure, and reload_weights
+// and counts one circuit-memo miss per new circuit section, a renamed copy
+// misses the memo but is served from the first copy's embedding, a
+// malformed circuit section is a typed bad request, and reload_weights
 // flips every shard coordinated through the wire, resolved "name@hash"
 // against an artifact::Store directory.
 
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -226,6 +234,12 @@ TEST(ServeServer, StatsEndpointServesValidJson) {
     EXPECT_NE(doc.find("\"per_shard\""), std::string::npos);
     EXPECT_NE(doc.find("\"requests\""), std::string::npos);
     EXPECT_NE(doc.find("\"shards\":2"), std::string::npos);
+    // Every cache layer of a shard, the task-head layers included.
+    for (const char* layer : {"structures", "embeddings", "regressions",
+                              "power", "scoap"})
+      EXPECT_NE(doc.find("\"" + std::string(layer) + "\":{\"hits\""),
+                std::string::npos)
+          << layer;
   }
 }
 
@@ -256,13 +270,107 @@ TEST(ServeServer, StatsCountOneStructuralHashPerNewStructure) {
   const MemoCounts before = memo_counts(server.stats_json());
   for (unsigned long long i = 0; i < kRepeats; ++i)
     (void)client.run(make_request(circuit, api::TaskKind::kLogicProb));
-  // Every request decodes its own copy of the netlist: the first is hashed,
-  // the repeats reuse that hash.
+  // Every request carries the same circuit bytes: the first is decoded and
+  // hashed, the repeats reuse that circuit and its identity.
   for (const std::string& doc : {client.stats_json(), server.stats_json()}) {
     const MemoCounts after = memo_counts(doc);
     EXPECT_EQ(after.misses - before.misses, 1u) << doc;
     EXPECT_EQ(after.hits - before.hits, kRepeats - 1) << doc;
   }
+}
+
+TEST(ServeServer, RenamedCopyMissesTheMemoButIsServedFromTheFirstEmbedding) {
+  Server server(small_server(/*shards=*/3));
+  Client client(server.port());
+  const auto original = shared_aig(6);
+  Circuit copy = *original;
+  for (NodeId v = 0; v < copy.num_nodes(); ++v)
+    copy.set_node_name(v, "renamed_" + std::to_string(v));
+  const auto renamed = std::make_shared<const Circuit>(std::move(copy));
+  ASSERT_EQ(exact_hash(*renamed), exact_hash(*original));
+
+  const TaskReply first =
+      client.run(make_request(original, api::TaskKind::kEmbedding));
+  const MemoCounts before = memo_counts(server.stats_json());
+  // Other names are other bytes: the memo misses and decodes the copy, and
+  // its identity equals the original's, so it routes to the same shard and
+  // that shard serves the embedding it already holds.
+  const TaskReply second =
+      client.run(make_request(renamed, api::TaskKind::kEmbedding));
+  const MemoCounts after = memo_counts(server.stats_json());
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(second.shard, first.shard);
+  EXPECT_TRUE(second.result.embedding_cache_hit);
+  expect_output_bit_identical(second.result, first.result);
+}
+
+/// Connect a raw socket to the server, send one task-request frame with
+/// `payload`, and decode the error frame that answers it.
+ErrorResponseMsg send_raw_task_request(std::uint16_t port,
+                                       const std::string& payload) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) throw Error("socket() failed");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
+    ::close(fd);
+    throw Error("connect() failed");
+  }
+  const std::string frame = encode_frame(MsgType::kTaskRequest, payload);
+  if (::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL) !=
+      static_cast<ssize_t>(frame.size())) {
+    ::close(fd);
+    throw Error("send() failed");
+  }
+  FrameParser parser;
+  char buf[4096];
+  std::optional<FrameParser::Frame> reply;
+  while (!reply) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    parser.feed(buf, static_cast<std::size_t>(n));
+    reply = parser.next();
+  }
+  ::close(fd);
+  if (!reply || reply->type != MsgType::kErrorResponse)
+    throw Error("expected an error frame");
+  return decode_error_response(reply->payload);
+}
+
+TEST(ServeServer, MalformedCircuitSectionIsATypedBadRequest) {
+  Server server(small_server());
+  TaskRequestMsg msg;
+  msg.request_id = 77;
+  msg.circuit = *shared_aig(8);
+  Rng rng(1);
+  msg.workload = random_workload(msg.circuit, rng);
+  std::string payload = encode(msg);
+  // The circuit section starts after id, version, kind, the empty backend
+  // string, seed, deadline and its own length prefix; its first node's type
+  // byte follows the circuit name and the node count.
+  const std::size_t section_at = 8 + 4 + 1 + 4 + 8 + 4 + 4;
+  const std::size_t type_at = section_at + 4 + msg.circuit.name().size() + 4;
+  payload[type_at] = static_cast<char>(0xEE);
+
+  const MemoCounts before = memo_counts(server.stats_json());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const ErrorResponseMsg err = send_raw_task_request(server.port(), payload);
+    EXPECT_EQ(err.request_id, 77u);
+    EXPECT_EQ(err.code, ErrorCode::kBadRequest);
+    EXPECT_NE(err.detail.find("gate type"), std::string::npos) << err.detail;
+  }
+  // The second attempt missed again: nothing was remembered.
+  const MemoCounts after = memo_counts(server.stats_json());
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses - before.misses, 2u);
+
+  // The server keeps serving well-formed requests.
+  Client client(server.port());
+  EXPECT_NO_THROW((void)client.run(
+      make_request(shared_aig(8), api::TaskKind::kTestability)));
 }
 
 TEST(ServeServer, ReloadOverTheWireFlipsEveryShardCoordinated) {
