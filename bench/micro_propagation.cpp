@@ -1,11 +1,12 @@
 // Single-circuit propagation microbenchmark across the Table IV designs.
 // For every design the bench times DeepSeqModel::embed — the fused no-grad
 // inference pass serving runs — with DEEPSEQ_NN_SIMD off and on, and checks
-// both embeddings bit-identical to the recorded grad-mode embedding with
-// scalar kernels (the eager tape training runs). On the largest design it
-// then times one grad-mode training step (forward, the logic-probability L1
-// head, backward) with its flush and step counts (one of each per op) and
-// the backward pass's share (train_backward_ms).
+// both embeddings bit-identical to the grad-mode embedding with scalar
+// kernels (the taped pass training runs: one op per level update). On the
+// largest design it then times one grad-mode training step (forward, the
+// logic-probability L1 head, backward) with its flush and step counts (one
+// of each per taped op: the level updates, the final gather, both heads and
+// the loss) and the backward pass's share (train_backward_ms).
 //
 // Emits a table and micro_propagation.json (bench_util::JsonWriter) so the
 // perf trajectory is machine-readable across commits (the repo commits a
@@ -81,8 +82,8 @@ double time_embed(const DeepSeqModel& model, const Design& d, int reps,
   return best;
 }
 
-/// The recorded grad-mode embedding with scalar kernels: the reference
-/// every fused embedding must reproduce.
+/// The grad-mode embedding with scalar kernels, one taped op per level
+/// update: the reference every fused embedding must reproduce.
 nn::Tensor recorded_embed(const DeepSeqModel& model, const Design& d) {
   set_simd(false);
   nn::Graph g(/*grad_enabled=*/true);

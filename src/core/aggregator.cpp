@@ -110,7 +110,8 @@ Var Aggregator::aggregate(Graph& g, const Var& hv_prev_targets,
 
 void Aggregator::infer(const float* hv_prev_targets, const float* hv_prev_edges,
                        const float* hu, const std::vector<int>& segment,
-                       int num_targets, float* out, nn::Scratch& s) const {
+                       int num_targets, float* out, nn::Scratch& s,
+                       const Activations* keep) const {
   const int edges = static_cast<int>(segment.size());
   const std::size_t d = static_cast<std::size_t>(dim_);
   const std::size_t target_elems = static_cast<std::size_t>(num_targets) * d;
@@ -138,7 +139,8 @@ void Aggregator::infer(const float* hv_prev_targets, const float* hv_prev_edges,
       float* scores = s.take(static_cast<std::size_t>(edges));
       attention_logits(hv_prev_edges, hu, att_w1_, att_w2_, edges, dim_,
                        scores, s);
-      float* alpha = s.take(static_cast<std::size_t>(edges));
+      float* alpha = keep != nullptr ? keep->alpha
+                                     : s.take(static_cast<std::size_t>(edges));
       nn::kernels::segment_softmax(alpha, scores, segment.data(),
                                    static_cast<std::size_t>(edges),
                                    num_targets);
@@ -152,7 +154,9 @@ void Aggregator::infer(const float* hv_prev_targets, const float* hv_prev_edges,
       float* m_lg = s.take(target_elems);
       segment_sum(weighted, m_lg);
       // Eq. 6 gate, then Eq. 7: out = m_TR || m_LG.
-      float* gate = s.take(static_cast<std::size_t>(num_targets));
+      float* gate = keep != nullptr
+                        ? keep->gate
+                        : s.take(static_cast<std::size_t>(num_targets));
       attention_logits(hv_prev_targets, m_lg, gate_w1_, gate_w2_, num_targets,
                        dim_, gate, s);
       nn::kernels::sigmoid(gate, gate, static_cast<std::size_t>(num_targets));
@@ -167,6 +171,82 @@ void Aggregator::infer(const float* hv_prev_targets, const float* hv_prev_edges,
     }
   }
   throw Error("Aggregator::infer: unknown kind");
+}
+
+// The taped aggregate() records, for the attention kinds: the two logit
+// matmuls and their add, segment_softmax, mul_col(hu, alpha), segment_sum;
+// then, for dual attention, the gate's two matmuls and add, sigmoid,
+// mul_col(m_LG, gate) and the concat. backward() runs their backward kernels
+// in the reverse of that order. A gradient buffer starts at +0.0 and only
+// accumulates, so it never holds -0.0, and the pass-through of add and
+// concat (0 + g) is g itself.
+void Aggregator::backward(const float* hv_prev_targets,
+                          const float* hv_prev_edges, const float* hu,
+                          const std::vector<int>& segment, int num_targets,
+                          const Activations& a, const float* m, int ldm,
+                          const float* dm, float* dhv_prev_targets,
+                          float* dhv_prev_edges, float* dhu,
+                          nn::Scratch& s) const {
+  const std::size_t edges = segment.size();
+  const std::size_t targets = static_cast<std::size_t>(num_targets);
+  const std::size_t d = static_cast<std::size_t>(dim_);
+  const int e = static_cast<int>(edges);
+  // matmul(rows, w), w a d x 1 logit weight and `rows` at row stride ld,
+  // given the logits' gradient.
+  const auto logit = [&](const float* rows, int ld, float* drows, int count,
+                         const Var& w, const float* dlogit) {
+    if (drows != nullptr)
+      nn::kernels::matmul_nt_acc(dlogit, 1, w->value.data(), 1, drows, dim_,
+                                 count, 1, dim_);
+    if (float* dw = w->grad_target())
+      nn::kernels::matmul_tn_acc(rows, ld, dlogit, 1, dw, 1, count, dim_, 1);
+  };
+  if (kind_ == AggregatorKind::kConvSum) {
+    // m = mul_col(segment_sum(hu W + b), 1 / in-degree)
+    float* inv_deg = s.take(targets);
+    inverse_degree(segment, num_targets, inv_deg);
+    float* dsummed = s.zeros(targets * d);
+    nn::kernels::mul_col_backward_values(dsummed, dm, inv_deg, targets, d);
+    float* dlin = s.zeros(edges * d);
+    nn::kernels::segment_sum_backward(dlin, dsummed, segment.data(), edges, d);
+    conv_w_.backward(hu, e, dlin, dhu);
+    return;
+  }
+  // dm_lg: the gradient of m_LG = sum_u alpha_uv h_u.
+  const float* dm_lg = dm;
+  if (kind_ == AggregatorKind::kDualAttention) {
+    // concat(m_TR, m_LG): each half's gradient is its columns of dm.
+    float* dm_tr = s.take(targets * d);
+    float* dlg = s.take(targets * d);
+    for (std::size_t i = 0; i < targets; ++i) {
+      std::copy_n(dm + i * 2 * d, d, dm_tr + i * d);
+      std::copy_n(dm + i * 2 * d + d, d, dlg + i * d);
+    }
+    // m_TR = mul_col(m_LG, gate), gate = sigmoid(h_v W1 + m_LG W2)
+    const float* m_lg = m + d;
+    nn::kernels::mul_col_backward_values(dlg, dm_tr, a.gate, targets, d);
+    float* dgate = s.zeros(targets);
+    nn::kernels::mul_col_backward_col(dgate, dm_tr, m_lg,
+                                      static_cast<std::size_t>(ldm), targets, d);
+    float* dlogit = s.zeros(targets);
+    nn::kernels::sigmoid_backward(dlogit, dgate, a.gate, targets);
+    logit(m_lg, ldm, dlg, num_targets, gate_w2_, dlogit);
+    logit(hv_prev_targets, dim_, dhv_prev_targets, num_targets, gate_w1_,
+          dlogit);
+    dm_lg = dlg;
+  }
+  // m_LG = segment_sum(mul_col(hu, alpha)), alpha = segment_softmax(logits)
+  float* dweighted = s.zeros(edges * d);
+  nn::kernels::segment_sum_backward(dweighted, dm_lg, segment.data(), edges, d);
+  if (dhu != nullptr)
+    nn::kernels::mul_col_backward_values(dhu, dweighted, a.alpha, edges, d);
+  float* dalpha = s.zeros(edges);
+  nn::kernels::mul_col_backward_col(dalpha, dweighted, hu, d, edges, d);
+  float* dlogit = s.zeros(edges);
+  nn::kernels::segment_softmax_backward(dlogit, dalpha, a.alpha, segment.data(),
+                                        edges, num_targets);
+  logit(hu, dim_, dhu, e, att_w2_, dlogit);
+  logit(hv_prev_edges, dim_, dhv_prev_edges, e, att_w1_, dlogit);
 }
 
 void Aggregator::collect_params(nn::NamedParams& out) const {

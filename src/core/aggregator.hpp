@@ -39,13 +39,34 @@ class Aggregator {
                     const nn::Var& hv_prev_edges, const nn::Var& hu,
                     const std::vector<int>& segment, int num_targets) const;
 
+  /// What backward() reads besides the level rows and the message: the
+  /// attention weights alpha (one per edge) and the transition gate (one
+  /// per target). Null where the kind has none.
+  struct Activations {
+    float* alpha = nullptr;
+    float* gate = nullptr;
+  };
+
   /// Inference twin of aggregate(): the same formula over raw level rows
   /// (row-major, hidden_dim wide) into `out` (num_targets x message_dim()),
   /// kernel for kernel, so the message is bit-identical to the recorded
-  /// ops. Temporaries come from `s`.
+  /// ops. Temporaries come from `s`; the activations go to `keep` when
+  /// given.
   void infer(const float* hv_prev_targets, const float* hv_prev_edges,
              const float* hu, const std::vector<int>& segment,
-             int num_targets, float* out, nn::Scratch& s) const;
+             int num_targets, float* out, nn::Scratch& s,
+             const Activations* keep = nullptr) const;
+
+  /// Backward of aggregate() over the rows an infer() ran on. `m` is the
+  /// message infer() wrote (row stride ldm) and dm its gradient
+  /// (num_targets x message_dim()). Accumulates into the gradients of the
+  /// three row blocks that are non-null and of the parameters, running the
+  /// taped ops' backward kernels in reverse record order.
+  void backward(const float* hv_prev_targets, const float* hv_prev_edges,
+                const float* hu, const std::vector<int>& segment,
+                int num_targets, const Activations& a, const float* m,
+                int ldm, const float* dm, float* dhv_prev_targets,
+                float* dhv_prev_edges, float* dhu, nn::Scratch& s) const;
 
   void collect_params(nn::NamedParams& out) const;
 

@@ -47,6 +47,13 @@ struct ModelConfig {
 /// is added here.
 std::uint64_t mix_config(std::uint64_t h, const ModelConfig& m);
 
+/// The propagation's initial state matrix (N x dim): PIs hold their
+/// workload logic-1 probability in every dimension, constants 0, every
+/// other node a reproducible uniform-random state drawn from `init_seed`
+/// (paper §III-B).
+nn::Tensor initial_states(const CircuitGraph& graph, const Workload& w, int dim,
+                          std::uint64_t init_seed);
+
 /// The DeepSeq model (and, via ModelConfig, its baselines): initial states
 /// from the workload (PIs pinned to their logic-1 probability in every
 /// dimension, paper §III-B), T rounds of forward + reverse message passing
@@ -54,12 +61,16 @@ std::uint64_t mix_config(std::uint64_t h, const ModelConfig& m);
 /// predicting transition probabilities (2-d) and logic probability (1-d)
 /// per node.
 ///
-/// Propagation has two executions of one formula. A grad-enabled Graph
-/// records every level as taped ops, each run as it is recorded (training
-/// needs the tape). A no-grad Graph runs the fused inference pass: each level
-/// over scratch rows of one N x d state tensor through Aggregator::infer /
-/// GruCell::infer, with no ops recorded; the result is bit-identical to the
-/// recorded path. Both run on the calling thread.
+/// Propagation runs each level through Aggregator::infer / GruCell::infer
+/// on the calling thread. A no-grad Graph runs the fused inference pass:
+/// every level over scratch rows of one N x d state tensor, with no op
+/// recorded. A grad-enabled Graph records each level as one taped op (a
+/// Graph::custom op) that runs the same kernels and keeps the rows and
+/// activations its backward reads; that backward runs, in reverse record
+/// order, the backward kernels of the ops Aggregator::aggregate and
+/// GruCell::apply record. Both modes give bit-identical embeddings, and the
+/// gradients are bit-identical to taping every one of those ops
+/// (tests/core/test_fused_propagation.cpp).
 class DeepSeqModel {
  public:
   explicit DeepSeqModel(const ModelConfig& config);
@@ -82,6 +93,14 @@ class DeepSeqModel {
 
   /// Regress an embedding matrix through the task MLPs.
   Output regress(nn::Graph& g, const nn::Var& embeddings) const;
+
+  /// The aggregator and GRU cell of one propagation direction.
+  const Aggregator& aggregator(bool reverse) const {
+    return reverse ? agg_rev_ : agg_fwd_;
+  }
+  const nn::GruCell& gru(bool reverse) const {
+    return reverse ? gru_rev_ : gru_fwd_;
+  }
 
   nn::NamedParams params() const;
   /// Backbone = everything except the task MLPs (for fine-tuning heads).

@@ -192,6 +192,7 @@ void forward_kernel(Op& op) {
     case OpKind::kL1Loss: fwd_l1_loss(op); break;
     case OpKind::kL1LossWeighted: fwd_l1_loss_weighted(op); break;
     case OpKind::kSoftmaxXent: fwd_softmax_xent(op); break;
+    case OpKind::kCustom: op.custom->forward(op.out->value); break;
   }
 }
 
@@ -234,18 +235,12 @@ void backward_target(Op& op, int target) {
         case OpKind::kScale:
           kernels::acc_scale(dst, gp, op.scalar, count);
           break;
-        case OpKind::kSigmoid: {
-          const float* y = op.out->value.data();
-          for (std::size_t i = 0; i < count; ++i)
-            dst[i] += gp[i] * y[i] * (1.0f - y[i]);
+        case OpKind::kSigmoid:
+          kernels::sigmoid_backward(dst, gp, op.out->value.data(), count);
           break;
-        }
-        case OpKind::kTanh: {
-          const float* y = op.out->value.data();
-          for (std::size_t i = 0; i < count; ++i)
-            dst[i] += gp[i] * (1.0f - y[i] * y[i]);
+        case OpKind::kTanh:
+          kernels::tanh_backward(dst, gp, op.out->value.data(), count);
           break;
-        }
         case OpKind::kRelu: {
           const float* x = in->value.data();
           for (std::size_t i = 0; i < count; ++i)
@@ -264,9 +259,9 @@ void backward_target(Op& op, int target) {
       if (target == 0) {
         kernels::acc_add(op.inputs[0]->grad.data(), g.data(), g.size());
       } else {
-        Tensor& tg = op.inputs[1]->grad;  // ordered accumulation over rows
-        for (int r = 0; r < g.rows(); ++r)
-          for (int c = 0; c < g.cols(); ++c) tg.at(0, c) += g.at(r, c);
+        kernels::bias_backward(op.inputs[1]->grad.data(), g.data(),
+                               static_cast<std::size_t>(g.rows()),
+                               static_cast<std::size_t>(g.cols()));
       }
       break;
     }
@@ -287,23 +282,14 @@ void backward_target(Op& op, int target) {
       break;
     }
     case OpKind::kMulCol: {
-      if (target == 0) {
-        Tensor& tg = op.inputs[0]->grad;
-        const Tensor& col = op.inputs[1]->value;
-        for (int r = 0; r < tg.rows(); ++r) {
-          const float a = col.at(r, 0);
-          for (int c = 0; c < tg.cols(); ++c) tg.at(r, c) += g.at(r, c) * a;
-        }
-      } else {
-        Tensor& tg = op.inputs[1]->grad;
-        const Tensor& v = op.inputs[0]->value;
-        for (int r = 0; r < tg.rows(); ++r) {
-          double acc = 0.0;
-          for (int c = 0; c < g.cols(); ++c)
-            acc += static_cast<double>(g.at(r, c)) * v.at(r, c);
-          tg.at(r, 0) += static_cast<float>(acc);
-        }
-      }
+      const std::size_t rows = static_cast<std::size_t>(g.rows());
+      const std::size_t cols = static_cast<std::size_t>(g.cols());
+      if (target == 0)
+        kernels::mul_col_backward_values(op.inputs[0]->grad.data(), g.data(),
+                                         op.inputs[1]->value.data(), rows, cols);
+      else
+        kernels::mul_col_backward_col(op.inputs[1]->grad.data(), g.data(),
+                                      op.inputs[0]->value.data(), cols, rows, cols);
       break;
     }
     case OpKind::kConcatCols: {
@@ -326,26 +312,18 @@ void backward_target(Op& op, int target) {
       }
       break;
     }
-    case OpKind::kSegmentSoftmax: {
-      // ds_e = y_e * (g_e - sum_{e' in seg} g_e' y_e')
-      const Tensor& y = op.out->value;
-      std::vector<double> seg_dot(static_cast<std::size_t>(op.num_segments), 0.0);
-      const int n = y.rows();
-      for (int e2 = 0; e2 < n; ++e2)
-        seg_dot[op.segment[e2]] +=
-            static_cast<double>(g.at(e2, 0)) * y.at(e2, 0);
-      Tensor& tg = op.inputs[0]->grad;
-      for (int e2 = 0; e2 < n; ++e2)
-        tg.at(e2, 0) += y.at(e2, 0) *
-                        (g.at(e2, 0) - static_cast<float>(seg_dot[op.segment[e2]]));
+    case OpKind::kSegmentSoftmax:
+      kernels::segment_softmax_backward(op.inputs[0]->grad.data(), g.data(),
+                                        op.out->value.data(), op.segment.data(),
+                                        static_cast<std::size_t>(g.rows()),
+                                        op.num_segments);
       break;
-    }
     case OpKind::kSegmentSum: {
-      Tensor& tg = op.inputs[0]->grad;
-      for (int row = 0; row < tg.rows(); ++row)
-        kernels::acc_add(tg.row(row),
-                         g.row(op.segment[static_cast<std::size_t>(row)]),
-                         static_cast<std::size_t>(tg.cols()));
+      const Tensor& v = op.inputs[0]->value;
+      kernels::segment_sum_backward(op.inputs[0]->grad.data(), g.data(),
+                                    op.segment.data(),
+                                    static_cast<std::size_t>(v.rows()),
+                                    static_cast<std::size_t>(v.cols()));
       break;
     }
     case OpKind::kSegmentMax: {
@@ -393,6 +371,8 @@ void backward_target(Op& op, int target) {
       }
       break;
     }
+    case OpKind::kCustom:
+      break;  // run_backward hands the whole op to its kernels
   }
 }
 
@@ -422,6 +402,10 @@ void run_backward(const std::vector<Op*>& tape) {
       if (in->requires_grad) in->ensure_grad();
     if (op->kind == OpKind::kGather) {
       backward_target(*op, 0);
+      continue;
+    }
+    if (op->kind == OpKind::kCustom) {
+      op->custom->backward(op->out->grad);
       continue;
     }
     for (std::size_t i = 0; i < op->inputs.size(); ++i)

@@ -13,7 +13,9 @@ namespace deepseq::nn {
 /// Execution counters, collected when an ExecTraceScope is active on the
 /// calling thread (benches and traced serving use this). Every op a Graph
 /// records counts as one flush: one `flushes` / `flush_ms` entry and one
-/// `steps`; a Graph::backward adds one `backward_ms` entry.
+/// `steps`; a Graph::backward adds one `backward_ms` entry. A grad-mode
+/// DeepSeq propagation records one op per level update (a Graph::custom
+/// op), so each level is one flush there.
 ///
 /// The fused no-grad DeepSeq pass (DeepSeqModel::embed) records no ops and
 /// reports through the same fields: one `flushes` / `flush_ms` entry per
@@ -44,7 +46,8 @@ void run_forward(Op& op);
 /// is in record order) and runs the backward kernels of every op whose
 /// output got a gradient; the others are skipped. Each op allocates its
 /// input gradients, then accumulates into each gradient target over its
-/// full range. Under an ExecTraceScope it appends one `backward_ms` entry.
+/// full range (a Graph::custom op's kernels take the whole op). Under an
+/// ExecTraceScope it appends one `backward_ms` entry.
 void run_backward(const std::vector<Op*>& tape);
 
 /// No effect; kept only because bench/e2e/e2e_ledger.cpp constructs one.

@@ -73,6 +73,7 @@ void Graph::recycle(Op* op) {
   if (op->attr_a.size() != 0) op->attr_a = Tensor();
   if (op->attr_b.size() != 0) op->attr_b = Tensor();
   if (op->saved.size() != 0) op->saved = Tensor();
+  op->custom.reset();
   free_ops_.push_back(op);
 }
 
@@ -270,6 +271,15 @@ Var Graph::softmax_cross_entropy(const Var& logits,
   op->inputs = {logits};
   op->segment = labels;
   return record(Tensor(1, 1), op);
+}
+
+Var Graph::custom(const std::vector<Var>& inputs, int rows, int cols,
+                  std::unique_ptr<CustomKernels> kernels) {
+  if (kernels == nullptr) throw Error("custom: no kernels");
+  auto op = acquire_op(OpKind::kCustom);
+  op->inputs.assign(inputs);
+  op->custom = std::move(kernels);
+  return record(Tensor(rows, cols), op);
 }
 
 void Graph::backward(const Var& root) {

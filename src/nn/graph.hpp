@@ -29,6 +29,9 @@ struct VarNode {
     if (!has_grad()) grad = Tensor(value.rows(), value.cols());
     return grad;
   }
+  /// The gradient to accumulate into, or null when this node takes none
+  /// (the backward of Graph::custom kernels and of the fused modules).
+  float* grad_target() { return requires_grad ? ensure_grad().data() : nullptr; }
 };
 
 using Var = std::shared_ptr<VarNode>;
@@ -44,6 +47,24 @@ Var make_constant(Tensor value);
 struct RowRef {
   Var var;
   int row = 0;
+};
+
+/// The kernels of a Graph::custom op, supplied by the code that records it,
+/// so the tape runs ops over types nn does not know (the fused DeepSeq
+/// level, for one).
+class CustomKernels {
+ public:
+  CustomKernels() = default;
+  CustomKernels(const CustomKernels&) = delete;
+  CustomKernels& operator=(const CustomKernels&) = delete;
+  virtual ~CustomKernels() = default;
+  /// Compute the op's whole output (zero-filled on entry); runs once, as
+  /// the op is recorded.
+  virtual void forward(Tensor& out) = 0;
+  /// Accumulate `out_grad` into the gradients of the op's inputs.
+  /// nn::run_backward has allocated the gradient of every input that
+  /// requires one; inputs that do not must be left alone.
+  virtual void backward(const Tensor& out_grad) = 0;
 };
 
 /// Reverse-mode autograd over an eager tape. Each op method builds one
@@ -121,6 +142,13 @@ class Graph {
   /// labels (size B, values in [0, C)); returns a 1x1 scalar. Numerically
   /// stabilized by row-max subtraction.
   Var softmax_cross_entropy(const Var& logits, const std::vector<int>& labels);
+
+  // ---- caller-supplied kernels ----------------------------------------------
+  /// One op whose rows x cols output `kernels` computes, over `inputs`:
+  /// every Var the kernels read a value of or accumulate a gradient into.
+  /// The inputs decide, as for any op, whether the op stays on the tape.
+  Var custom(const std::vector<Var>& inputs, int rows, int cols,
+             std::unique_ptr<CustomKernels> kernels);
 
   /// Backpropagate from a scalar (or any) root: seeds d(root)/d(root) = 1.
   /// Throws deepseq::Error when gradients are disabled or when backward

@@ -415,6 +415,35 @@ __attribute__((target("avx2"))) void matmul_nt_acc_avx2(const float* g, int ldg,
   }
 }
 
+// dB for n == 1 (the attention and gate weights): out[i] += sum_p a[p][i]
+// g[p]. Eight of A's columns ride in eight lanes, loaded straight from each
+// row of A, and every lane accumulates over ascending p with the zero-skip
+// blend; the last k % 8 columns run the same sequence one at a time.
+__attribute__((target("avx2"))) void matvec_tn_avx2(const float* a, int lda, const float* g,
+                                                    int ldg, float* out, int ldo, int m,
+                                                    int k) {
+  int i = 0;
+  for (; i + 8 <= k; i += 8) {
+    alignas(32) float lane[8];
+    for (int r = 0; r < 8; ++r) lane[r] = out[static_cast<std::size_t>(i + r) * ldo];
+    __m256 acc = _mm256_load_ps(lane);
+    for (int p = 0; p < m; ++p)
+      acc = matvec_step(acc, _mm256_loadu_ps(a + static_cast<std::size_t>(p) * lda + i),
+                        g[static_cast<std::size_t>(p) * ldg]);
+    _mm256_store_ps(lane, acc);
+    for (int r = 0; r < 8; ++r) out[static_cast<std::size_t>(i + r) * ldo] = lane[r];
+  }
+  for (; i < k; ++i) {
+    float acc = out[static_cast<std::size_t>(i) * ldo];
+    for (int p = 0; p < m; ++p) {
+      const float av = a[static_cast<std::size_t>(p) * lda + i];
+      if (av == 0.0f) continue;
+      acc += av * g[static_cast<std::size_t>(p) * ldg];
+    }
+    out[static_cast<std::size_t>(i) * ldo] = acc;
+  }
+}
+
 // dB: out (k x n) += a^T g. A is transposed once, so every output row reads
 // one contiguous row of a^T, and matmul_rows accumulates each element over
 // ascending p with the zero-skip on a[p][i], as the row-by-row acc_scale
@@ -422,6 +451,10 @@ __attribute__((target("avx2"))) void matmul_nt_acc_avx2(const float* g, int ldg,
 __attribute__((target("avx2"))) void matmul_tn_acc_avx2(const float* a, int lda, const float* g,
                                                         int ldg, float* out, int ldo, int m,
                                                         int k, int n) {
+  if (n == 1) {
+    matvec_tn_avx2(a, lda, g, ldg, out, ldo, m, k);
+    return;
+  }
   float* at = transpose_scratch(static_cast<std::size_t>(k) * m);
   transpose_avx2(a, lda, m, k, at, m);
   matmul_rows_avx2(at, m, g, ldg, out, ldo, k, m, n);
@@ -653,6 +686,52 @@ void segment_softmax(float* out, const float* scores, const int* segment, std::s
   }
   for (std::size_t e = 0; e < count; ++e)
     out[e] = static_cast<float>(out[e] / seg_sum[segment[e]]);
+}
+
+void sigmoid_backward(float* dst, const float* g, const float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] += g[i] * y[i] * (1.0f - y[i]);
+}
+
+void tanh_backward(float* dst, const float* g, const float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] += g[i] * (1.0f - y[i] * y[i]);
+}
+
+void bias_backward(float* dst, const float* g, std::size_t rows, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) acc_add(dst, g + r * cols, cols);
+}
+
+void mul_col_backward_values(float* dst, const float* g, const float* col,
+                             std::size_t rows, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r)
+    acc_scale(dst + r * cols, g + r * cols, col[r], cols);
+}
+
+void mul_col_backward_col(float* dst, const float* g, const float* v, std::size_t ldv,
+                          std::size_t rows, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* grow = g + r * cols;
+    const float* vrow = v + r * ldv;
+    double acc = 0.0;
+    for (std::size_t c = 0; c < cols; ++c) acc += static_cast<double>(grow[c]) * vrow[c];
+    dst[r] += static_cast<float>(acc);
+  }
+}
+
+void segment_sum_backward(float* dst, const float* g, const int* segment,
+                          std::size_t rows, std::size_t cols) {
+  for (std::size_t r = 0; r < rows; ++r)
+    acc_add(dst + r * cols, g + static_cast<std::size_t>(segment[r]) * cols, cols);
+}
+
+void segment_softmax_backward(float* dst, const float* g, const float* y,
+                              const int* segment, std::size_t count,
+                              int num_segments) {
+  thread_local std::vector<double> seg_dot;
+  seg_dot.assign(static_cast<std::size_t>(num_segments), 0.0);
+  for (std::size_t e = 0; e < count; ++e)
+    seg_dot[segment[e]] += static_cast<double>(g[e]) * y[e];
+  for (std::size_t e = 0; e < count; ++e)
+    dst[e] += y[e] * (g[e] - static_cast<float>(seg_dot[segment[e]]));
 }
 
 }  // namespace deepseq::nn::kernels

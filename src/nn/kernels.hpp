@@ -20,7 +20,9 @@ namespace deepseq::nn::kernels {
 /// transposed B, each lane a float multiply, an exact widen and a double
 /// add in ascending p, narrowed once and added into the gradient; dB
 /// (matmul_tn_acc) transposes A once and runs matmul_rows, whose float
-/// accumulation and zero-skip are the old row-by-row acc_scale loop's.
+/// accumulation and zero-skip are the old row-by-row acc_scale loop's; for
+/// n == 1 it reads eight of A's columns per lane straight from A's rows
+/// instead, with the same zero-skip blend as the n == 1 matmul.
 /// sigmoid and tanh are in-tree polynomials, not libm: a range-reduced exp
 /// (Cody-Waite ln 2 split, degree-5 polynomial, 2^n from integer bits) and
 /// an odd tanh polynomial below |x| = 0.625, written once as a branch-free
@@ -115,5 +117,34 @@ void segment_sum(float* out, const float* v, const int* segment,
 /// (max-shifted exp, double-precision segment sums). Not splittable.
 void segment_softmax(float* out, const float* scores, const int* segment,
                      std::size_t count, int num_segments);
+
+// ---- row-structured backward formulas ----------------------------------------
+//
+// The gradient loops of the formulas above. nn::run_backward calls them per
+// taped op and the fused DeepSeq level op per level, so both accumulate
+// every gradient element with one sequence. Each accumulates into `dst`.
+
+/// dst += g * y * (1 - y), y = sigmoid's output.
+void sigmoid_backward(float* dst, const float* g, const float* y, std::size_t n);
+/// dst += g * (1 - y * y), y = tanh's output.
+void tanh_backward(float* dst, const float* g, const float* y, std::size_t n);
+/// add_row's bias gradient: dst (1 x cols) += g's rows in ascending order.
+void bias_backward(float* dst, const float* g, std::size_t rows, std::size_t cols);
+/// mul_col's gradient w.r.t. the values: dst (rows x cols) += g * col[r].
+void mul_col_backward_values(float* dst, const float* g, const float* col,
+                             std::size_t rows, std::size_t cols);
+/// mul_col's gradient w.r.t. the column: dst[r] += the double sum of
+/// g[r][c] * v[r][c] over ascending c, rounded to float once. `ldv` is v's
+/// row stride in floats.
+void mul_col_backward_col(float* dst, const float* g, const float* v, std::size_t ldv,
+                          std::size_t rows, std::size_t cols);
+/// segment_sum's gradient: dst row r (rows x cols) += g row segment[r].
+void segment_sum_backward(float* dst, const float* g, const int* segment,
+                          std::size_t rows, std::size_t cols);
+/// segment_softmax's gradient: dst[e] += y[e] * (g[e] - s), s the double
+/// sum of g * y over e's segment, rounded to float.
+void segment_softmax_backward(float* dst, const float* g, const float* y,
+                              const int* segment, std::size_t count,
+                              int num_segments);
 
 }  // namespace deepseq::nn::kernels

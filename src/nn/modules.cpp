@@ -54,6 +54,19 @@ void Linear::infer(const float* x, int rows, float* out) const {
                    static_cast<std::size_t>(out_dim_));
 }
 
+void Linear::backward(const float* x, int rows, const float* dy,
+                      float* dx) const {
+  if (float* db = b_->grad_target())
+    kernels::bias_backward(db, dy, static_cast<std::size_t>(rows),
+                           static_cast<std::size_t>(out_dim_));
+  if (dx != nullptr)
+    kernels::matmul_nt_acc(dy, out_dim_, w_->value.data(), out_dim_, dx,
+                           in_dim_, rows, out_dim_, in_dim_);
+  if (float* dw = w_->grad_target())
+    kernels::matmul_tn_acc(x, in_dim_, dy, out_dim_, dw, out_dim_, rows,
+                           in_dim_, out_dim_);
+}
+
 void Linear::collect_params(NamedParams& out) const {
   out.emplace_back(name_ + ".w", w_);
   out.emplace_back(name_ + ".b", b_);
@@ -115,7 +128,7 @@ Var GruCell::apply(Graph& g, const Var& x, const Var& h) const {
 }
 
 void GruCell::infer(const float* x, const float* h, int rows, float* out,
-                    Scratch& s) const {
+                    Scratch& s, const Activations* keep) const {
   const std::size_t d = static_cast<std::size_t>(hidden_dim_);
   const std::size_t count = static_cast<std::size_t>(rows) * d;
   // gate = act(x W + h' U + b), h' = h (or r*h for the candidate): the two
@@ -132,22 +145,86 @@ void GruCell::infer(const float* x, const float* h, int rows, float* out,
     kernels::add(o, o, xu, count);
     kernels::add_row(o, o, b->value.data(), static_cast<std::size_t>(rows), d);
   };
-  float* z = s.take(count);
-  float* r = s.take(count);
-  float* n = s.take(count);
-  gate(h, wz_, uz_, bz_, z);
-  kernels::sigmoid(z, z, count);
-  gate(h, wr_, ur_, br_, r);
-  kernels::sigmoid(r, r, count);
-  kernels::mul(r, r, h, count);  // r * h feeds the candidate's U matmul
-  gate(r, wn_, un_, bn_, n);
-  kernels::tanh_(n, n, count);
+  Activations a;
+  if (keep != nullptr) {
+    a = *keep;
+  } else {  // nothing kept: r * h overwrites r, and (1 - z) * n overwrites z
+    a.z = s.take(count);
+    a.r = a.rh = s.take(count);
+    a.n = s.take(count);
+  }
+  gate(h, wz_, uz_, bz_, a.z);
+  kernels::sigmoid(a.z, a.z, count);
+  gate(h, wr_, ur_, br_, a.r);
+  kernels::sigmoid(a.r, a.r, count);
+  kernels::mul(a.rh, a.r, h, count);  // r * h feeds the candidate's U matmul
+  gate(a.rh, wn_, un_, bn_, a.n);
+  kernels::tanh_(a.n, a.n, count);
   // h' = (1 - z) * n + z * h
   float* zh = s.take(count);
-  kernels::mul(zh, z, h, count);
-  kernels::one_minus(z, z, count);
-  kernels::mul(n, z, n, count);
-  kernels::add(out, n, zh, count);
+  float* zn = keep != nullptr ? s.take(count) : a.z;
+  kernels::mul(zh, a.z, h, count);
+  kernels::one_minus(zn, a.z, count);
+  kernels::mul(zn, zn, a.n, count);
+  kernels::add(out, zn, zh, count);
+}
+
+// The taped apply() records, gate by gate, matmul(x, W), matmul(h', U),
+// add, add_row(b) and the activation, then one_minus(z), the two products
+// and their add; backward() runs their backward kernels in the reverse of
+// that order. Every gradient buffer starts at +0.0 and only accumulates, so
+// it never holds -0.0: the pass-through of add and add_row (0 + g) is g
+// itself, and one buffer serves every operand it reaches.
+void GruCell::backward(const float* x, const float* h, int rows,
+                       const Activations& a, const float* dout, float* dx,
+                       int dx_cols, float* dh, Scratch& s) const {
+  const std::size_t d = static_cast<std::size_t>(hidden_dim_);
+  const std::size_t count = static_cast<std::size_t>(rows) * d;
+  // One gate's add_row, add and two matmuls, given the gradient `dpre` of
+  // its pre-activation: the bias, then U (dh' into `dhh` when non-null),
+  // then W (dx).
+  const auto gate = [&](const float* hh, float* dhh, const Var& w,
+                        const Var& u, const Var& b, const float* dpre) {
+    if (float* db = b->grad_target())
+      kernels::bias_backward(db, dpre, static_cast<std::size_t>(rows), d);
+    if (dhh != nullptr)
+      kernels::matmul_nt_acc(dpre, hidden_dim_, u->value.data(), hidden_dim_,
+                             dhh, hidden_dim_, rows, hidden_dim_, hidden_dim_);
+    if (float* du = u->grad_target())
+      kernels::matmul_tn_acc(hh, hidden_dim_, dpre, hidden_dim_, du,
+                             hidden_dim_, rows, hidden_dim_, hidden_dim_);
+    kernels::matmul_nt_acc(dpre, hidden_dim_, w->value.data(), hidden_dim_, dx,
+                           dx_cols, rows, hidden_dim_, dx_cols);
+    if (float* dw = w->grad_target())
+      kernels::matmul_tn_acc(x, in_dim_, dpre, hidden_dim_, dw, hidden_dim_,
+                             rows, in_dim_, hidden_dim_);
+  };
+  // h' = (1 - z) * n + z * h
+  float* dz = s.zeros(count);
+  kernels::acc_mul(dz, dout, h, count);
+  if (dh != nullptr) kernels::acc_mul(dh, dout, a.z, count);
+  float* omz = s.take(count);
+  kernels::one_minus(omz, a.z, count);
+  float* domz = s.zeros(count);
+  kernels::acc_mul(domz, dout, a.n, count);
+  float* dn = s.zeros(count);
+  kernels::acc_mul(dn, dout, omz, count);
+  kernels::acc_sub(dz, domz, count);
+  // n = tanh(x Wn + (r * h) Un + bn); r * h takes its gradient from Un.
+  float* dpre = s.zeros(count);
+  kernels::tanh_backward(dpre, dn, a.n, count);
+  float* drh = s.zeros(count);
+  gate(a.rh, drh, wn_, un_, bn_, dpre);
+  float* dr = s.zeros(count);
+  kernels::acc_mul(dr, drh, h, count);
+  if (dh != nullptr) kernels::acc_mul(dh, drh, a.r, count);
+  // r = sigmoid(x Wr + h Ur + br), z = sigmoid(x Wz + h Uz + bz)
+  dpre = s.zeros(count);
+  kernels::sigmoid_backward(dpre, dr, a.r, count);
+  gate(h, dh, wr_, ur_, br_, dpre);
+  dpre = s.zeros(count);
+  kernels::sigmoid_backward(dpre, dz, a.z, count);
+  gate(h, dh, wz_, uz_, bz_, dpre);
 }
 
 void GruCell::collect_params(NamedParams& out) const {

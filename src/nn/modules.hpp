@@ -36,6 +36,11 @@ class Linear {
   /// Inference twin of apply(): out (rows x out_dim) = x W + b with the
   /// same kernels, bit-identical to the recorded ops.
   void infer(const float* x, int rows, float* out) const;
+  /// Backward of apply() over the rows an infer() ran on: dy (rows x
+  /// out_dim) is the output's gradient. Accumulates into the bias and
+  /// weight gradients and, when dx is non-null, into dx (rows x in_dim),
+  /// with the taped add_row's and matmul's backward kernels.
+  void backward(const float* x, int rows, const float* dy, float* dx) const;
 
   int in_dim() const { return in_dim_; }
   int out_dim() const { return out_dim_; }
@@ -78,12 +83,34 @@ class GruCell {
   GruCell(int in_dim, int hidden_dim, Rng& rng, std::string name = "gru");
 
   Var apply(Graph& g, const Var& x, const Var& h) const;
+
+  /// The activations backward() reads, each rows x hidden_dim: the gates z
+  /// and r, the candidate's input r * h, and the candidate n.
+  struct Activations {
+    float* z = nullptr;
+    float* r = nullptr;
+    float* rh = nullptr;
+    float* n = nullptr;
+  };
+
   /// Inference twin of apply() over raw rows: x (rows x in_dim) and h
   /// (rows x hidden_dim) in, h' (rows x hidden_dim) to `out`. Runs the
   /// apply() formula kernel for kernel, so the result is bit-identical to
-  /// the recorded ops; temporaries come from `s`.
-  void infer(const float* x, const float* h, int rows, float* out,
-             Scratch& s) const;
+  /// the recorded ops; temporaries come from `s`, and the activations go
+  /// to `keep` when given.
+  void infer(const float* x, const float* h, int rows, float* out, Scratch& s,
+             const Activations* keep = nullptr) const;
+
+  /// Backward of apply() over the rows an infer() ran on, given what it
+  /// kept: dout (rows x hidden_dim) is h''s gradient. Accumulates into dx
+  /// (rows x dx_cols: the first dx_cols columns of x's gradient) and,
+  /// when dh is non-null, into dh (rows x hidden_dim), and into the
+  /// gradients of the cell's parameters. Runs the taped ops' backward
+  /// kernels in reverse record order, so every element accumulates as on
+  /// the tape.
+  void backward(const float* x, const float* h, int rows, const Activations& a,
+                const float* dout, float* dx, int dx_cols, float* dh,
+                Scratch& s) const;
 
   int in_dim() const { return in_dim_; }
   int hidden_dim() const { return hidden_dim_; }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <vector>
 
 #include "nn/graph.hpp"
@@ -32,6 +33,7 @@ enum class OpKind : std::uint8_t {
   kL1Loss,
   kL1LossWeighted,
   kSoftmaxXent,
+  kCustom,  // kernels supplied by the recorder (Graph::custom)
 };
 
 /// Ordered operand list with inline storage for the common case: all but
@@ -114,6 +116,7 @@ struct Op {
   Tensor attr_b;             // loss weight
   std::vector<int> argmax;   // kSegmentMax: argmax rows, filled by forward
   Tensor saved;              // kSoftmaxXent: softmax cached for backward
+  std::unique_ptr<CustomKernels> custom;  // kCustom: both kernels
 };
 
 }  // namespace deepseq::nn

@@ -1,11 +1,13 @@
-// Bit-identity of the fused no-grad DeepSeq pass against the recorded
-// grad-mode Graph path (record, then execute). Embeddings, both regression
-// heads of forward() and ReliabilityModel::estimate must memcmp-match for
+// Bit-identity of DeepSeqModel's propagation against the per-op oracle
+// (tests/support/nn_parity.hpp), which tapes every kernel of every level as
+// its own op. The fused no-grad pass must reproduce the oracle's embedding
+// and both regression heads, and one grad-mode training step (one taped op
+// per level) its embedding, loss and every parameter gradient; memcmp, for
 // every parity preset, on the shared parity fixture and on every Table IV
 // design at scale 1/16, design seeds 1 and 2 (FF->FF chains and ptc's tiny
-// levels included). The suite reads DEEPSEQ_NN_SIMD from the environment
-// like the rest of ctest, so each CI leg pins the contract at its own
-// setting.
+// levels included). ReliabilityModel::estimate must match its grad-mode
+// forward. The suite reads DEEPSEQ_NN_SIMD from the environment like the
+// rest of ctest, so each CI leg pins the contract at its own setting.
 
 #include <gtest/gtest.h>
 
@@ -26,8 +28,11 @@ namespace {
 using nn::Graph;
 using nn::Tensor;
 using testsupport::bit_identical;
+using testsupport::GradRun;
 using testsupport::parity_fixture;
 using testsupport::parity_presets;
+using testsupport::per_op_embed;
+using testsupport::train_step;
 
 constexpr std::uint64_t kInitSeed = 7;
 
@@ -94,7 +99,8 @@ TEST(FusedPropagation, MatchesRecordedPathForEveryPresetAndDesign) {
       Graph fused(/*grad_enabled=*/false);
       const auto fused_out = model.forward(fused, c.graph, c.workload, kInitSeed);
       Graph recorded(/*grad_enabled=*/true);
-      const nn::Var emb = model.embed(recorded, c.graph, c.workload, kInitSeed);
+      const nn::Var emb =
+          per_op_embed(recorded, model, c.graph, c.workload, kInitSeed);
       const auto recorded_out = model.regress(recorded, emb);
 
       Graph fused_embed(/*grad_enabled=*/false);
@@ -108,7 +114,7 @@ TEST(FusedPropagation, MatchesRecordedPathForEveryPresetAndDesign) {
           << where << ": lg head";
 
       // ReliabilityModel::estimate runs the fused pass; rebuild its readout
-      // from the recorded path (the forked backbone carries `model`'s
+      // from its grad-mode forward (the forked backbone carries `model`'s
       // weights, so recorded_out.lg is the backbone's logic probability).
       const auto est = reliability.estimate(c.graph, c.workload, c.pos, kInitSeed);
       Graph recorded_err(/*grad_enabled=*/true);
@@ -123,6 +129,59 @@ TEST(FusedPropagation, MatchesRecordedPathForEveryPresetAndDesign) {
           << where << ": reliability";
     }
   }
+}
+
+TEST(FusedPropagation, GradModeStepMatchesPerOpOracle) {
+  // One taped op per level must train exactly like one taped op per kernel:
+  // same embedding, loss and parameter gradients, byte for byte.
+  for (const ModelConfig& config : parity_presets()) {
+    const DeepSeqModel model(config);
+    for (const Case& c : cases()) {
+      const std::string where = config.description() + " on " + c.name;
+      const GradRun oracle = train_step(model, c.graph, c.workload, true);
+      const GradRun level = train_step(model, c.graph, c.workload);
+      EXPECT_TRUE(bit_identical(level.embedding, oracle.embedding))
+          << where << ": embedding";
+      EXPECT_EQ(std::memcmp(&level.loss, &oracle.loss, sizeof(float)), 0)
+          << where << ": loss " << level.loss << " vs " << oracle.loss;
+      ASSERT_EQ(level.grads.size(), oracle.grads.size());
+      const nn::NamedParams params = model.params();
+      for (std::size_t i = 0; i < level.grads.size(); ++i)
+        EXPECT_TRUE(bit_identical(level.grads[i], oracle.grads[i]))
+            << where << ": gradient of " << params[i].first;
+    }
+  }
+}
+
+TEST(FusedPropagation, GradModeTapesOneOpPerLevel) {
+  // A grad-mode forward tapes one op per level update, T x (forward +
+  // reverse levels), then the final gather, the two 3-layer MLP heads
+  // (matmul, add_row and an activation per layer: 9 ops each) and here the
+  // loss (two L1 terms and their add). Under an ExecTraceScope every one
+  // of them is one flush and one step, and backward is one entry.
+  const auto& f = parity_fixture();
+  const ModelConfig config = ModelConfig::deepseq(32, 2);
+  const DeepSeqModel model(config);
+  const int levels = static_cast<int>(f.graph.comb_forward.size() +
+                                      f.graph.comb_reverse.size());
+  const int expected = config.iterations * levels + 1 + 2 * 9 + 3;
+  nn::ExecStats stats;
+  std::size_t tape = 0;
+  {
+    nn::ExecTraceScope trace(stats);
+    Graph g(/*grad_enabled=*/true);
+    const auto out = model.forward(g, f.graph, f.workload, kInitSeed);
+    const nn::Var loss =
+        g.add(g.l1_loss(out.tr, Tensor(f.graph.num_nodes, 2)),
+              g.l1_loss(out.lg, Tensor(f.graph.num_nodes, 1)));
+    tape = g.tape_size();
+    g.backward(loss);
+  }
+  EXPECT_EQ(tape, static_cast<std::size_t>(expected));
+  EXPECT_EQ(stats.flushes, expected);
+  EXPECT_EQ(stats.steps, expected);
+  EXPECT_EQ(stats.flush_ms.size(), static_cast<std::size_t>(expected));
+  EXPECT_EQ(stats.backward_ms.size(), 1u);
 }
 
 TEST(FusedPropagation, TraceReportsSweepsLevelsAndStateRows) {

@@ -137,21 +137,33 @@ TEST(Tape, GradCheckPasses) {
 }
 
 TEST(Tape, GradCheckOnModelLoss) {
-  const DeepSeqModel model(ModelConfig::deepseq(16, 1));
-  const Tensor target_lg(parity_fixture().graph.num_nodes, 1);
-  auto forward = [&](Graph& g) {
-    const auto out = model.forward(g, parity_fixture().graph, parity_fixture().workload, 3);
-    return g.l1_loss(out.lg, target_lg);
+  // Finite differences (the fused no-grad pass) against the level op's
+  // backward, for every aggregator kind: the forward aggregator's
+  // parameters plus one GRU weight and one bias per direction.
+  const ModelConfig presets[] = {
+      ModelConfig::deepseq(16, 1),
+      ModelConfig::deepseq_simple_attention(16, 1),
+      ModelConfig::dag_conv_gnn(AggregatorKind::kConvSum, 16),
   };
-  // Subset of backbone params keeps the finite-difference sweep fast.
-  nn::NamedParams params = model.params();
-  params.resize(4);
-  for (const auto& [name, p] : params) {
-    (void)name;
-    if (p->has_grad()) p->grad.zero();
+  const Tensor target_lg(parity_fixture().graph.num_nodes, 1);
+  for (const ModelConfig& config : presets) {
+    const DeepSeqModel model(config);
+    auto forward = [&](Graph& g) {
+      const auto out = model.forward(g, parity_fixture().graph,
+                                     parity_fixture().workload, 3);
+      return g.l1_loss(out.lg, target_lg);
+    };
+    nn::NamedParams params;
+    for (const auto& [name, p] : model.params()) {
+      if (name.rfind("agg_fwd.", 0) == 0 || name == "gru_fwd.uz" ||
+          name == "gru_fwd.bn" || name == "gru_rev.uz" || name == "gru_rev.bn")
+        params.emplace_back(name, p);
+    }
+    ASSERT_GE(params.size(), 5u) << config.description();
+    const auto res = nn::grad_check(forward, params, 1e-2f, 3);
+    EXPECT_LT(res.max_rel_error, 0.05)
+        << config.description() << " worst: " << res.worst_param;
   }
-  const auto res = nn::grad_check(forward, params, 1e-2f, 3);
-  EXPECT_LT(res.max_rel_error, 0.05) << "worst: " << res.worst_param;
 }
 
 TEST(Tape, TraceCountsEachRecordedOpAsOneFlush) {

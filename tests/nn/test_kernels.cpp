@@ -392,6 +392,42 @@ TEST(Kernels, RowFormulasParity) {
   });
 }
 
+TEST(Kernels, RowBackwardFormulasParity) {
+  // The backward loops shared by run_backward and the fused level op; the
+  // ones built on acc_add / acc_scale dispatch, the rest are scalar on both
+  // paths.
+  constexpr std::size_t kRows = 9, kSegs = 4;
+  const std::vector<int> segment{2, 0, 3, 2, 1, 0, 0, 3, 2};
+  expect_simd_scalar_identical("row backward formulas", [&](std::size_t cols) {
+    const auto g = pattern(kRows * cols, 50), y = pattern(kRows * cols, 51);
+    const auto col = pattern(kRows, 52), gseg = pattern(kSegs * cols, 53);
+    std::vector<float> all;
+    const auto run = [&](std::size_t n, auto&& body) {
+      auto dst = pattern(n, 54);
+      body(dst.data());
+      all.insert(all.end(), dst.begin(), dst.end());
+    };
+    const std::size_t count = kRows * cols;
+    run(count, [&](float* d) { sigmoid_backward(d, g.data(), y.data(), count); });
+    run(count, [&](float* d) { tanh_backward(d, g.data(), y.data(), count); });
+    run(cols, [&](float* d) { bias_backward(d, g.data(), kRows, cols); });
+    run(count, [&](float* d) {
+      mul_col_backward_values(d, g.data(), col.data(), kRows, cols);
+    });
+    run(kRows, [&](float* d) {
+      mul_col_backward_col(d, g.data(), y.data(), cols, kRows, cols);
+    });
+    run(count, [&](float* d) {
+      segment_sum_backward(d, gseg.data(), segment.data(), kRows, cols);
+    });
+    run(kRows, [&](float* d) {
+      segment_softmax_backward(d, col.data(), y.data(), segment.data(), kRows,
+                               static_cast<int>(kSegs));
+    });
+    return all;
+  });
+}
+
 // ---- backward matmuls --------------------------------------------------------
 //
 // matmul_nt_acc (dA = G B^T) and matmul_tn_acc (dB = A^T G) on both paths.
@@ -401,7 +437,7 @@ TEST(Kernels, RowFormulasParity) {
 // first product instead of +0.0, or a skipped product that adds +0.0,
 // flips a sign bit.
 
-constexpr int kBackM[] = {1, 7, 8, 9, 33};
+constexpr int kBackM[] = {1, 7, 8, 9, 12, 33, 70};
 constexpr int kBackDims[] = {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 67};
 
 /// A rows x cols matrix at row stride cols + pad, the padding NaN.
